@@ -20,11 +20,30 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
+DOMAINS = ("ball", "pinched")
+# Type of each configuration value; an int is accepted where a float is.
+CONFIG_TYPES = {"domain": str, "n": int, "q": int, "seed": int,
+                "h": float, "eps": float, "delta": float, "out": str}
+
+
+def _check_config_types(cfg: dict) -> None:
+    for key, want in CONFIG_TYPES.items():
+        if key not in cfg:
+            continue
+        val = cfg[key]
+        accepted = (int, float) if want is float else want
+        if isinstance(val, bool) or not isinstance(val, accepted):
+            raise ValueError(f"config {key!r} must be {want.__name__}, got {val!r}")
+    if cfg["domain"].lower() not in DOMAINS:
+        raise ValueError(f"unknown domain {cfg['domain']!r}; have {list(DOMAINS)}")
+
 
 def _load_config(args) -> dict:
     cfg = {}
     if args.config:
         cfg = json.loads(Path(args.config).read_text())
+        if not isinstance(cfg, dict):
+            raise ValueError("config file must hold a JSON object")
     for key in ("domain", "n", "q", "seed", "h", "eps", "delta", "out"):
         val = getattr(args, key, None)
         if val is not None:
@@ -35,6 +54,7 @@ def _load_config(args) -> dict:
     cfg.setdefault("seed", 0)
     cfg.setdefault("delta", 0.15)
     cfg.setdefault("out", "out")
+    _check_config_types(cfg)
     if cfg["n"] < 2:
         raise ValueError("n must be >= 2")
     return cfg
@@ -54,16 +74,15 @@ def cmd_list_suites(args) -> int:
 
 def cmd_suite(args) -> int:
     cfg = _load_config(args)
-    names = args.suites.split(",") if args.suites else sorted(verify.SUITES)
+    names = ([name.strip() for name in args.suites.split(",")] if args.suites
+             else sorted(verify.SUITES))
+    for name in names:
+        verify.check_suite_args(name, cfg["n"], cfg["q"])
     t_grid = tuple(2.0 ** (-k) for k in range(args.tmin, args.tmax + 1))
     out = _outdir(cfg)
     all_pass = True
     reports = []
     for name in names:
-        name = name.strip()
-        if name not in verify.SUITES:
-            print(f"unknown suite {name!r}; try list-suites", file=sys.stderr)
-            return EXIT_USAGE
         rep = verify.run_suite(name, cfg["domain"], cfg["n"], cfg["q"],
                                seed=cfg["seed"], t_grid=t_grid, delta=cfg["delta"])
         reports.append(rep)
@@ -182,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--domain", choices=["ball", "pinched"])
+        p.add_argument("--domain", choices=DOMAINS)
         p.add_argument("--n", type=int)
         p.add_argument("--q", type=int)
         p.add_argument("--seed", type=int)

@@ -48,23 +48,6 @@ class KernelEvaluator:
                          np.asarray(z, dtype=complex))
 
 
-def scale_kernel(k: KernelEvaluator, c: complex, new_id: str | None = None) -> KernelEvaluator:
-    return KernelEvaluator(new_id or f"{c}*{k.id}", k.n,
-                           lambda zeta, z: k.eval(zeta, z).scale(c), k.q, k.claimed_type)
-
-
-def add_kernels(ks: list[KernelEvaluator], new_id: str) -> KernelEvaluator:
-    n = ks[0].n
-
-    def ev(zeta, z):
-        out = DoubleForm.zero(n)
-        for k in ks:
-            out = out + k.eval(zeta, z)
-        return out
-
-    return KernelEvaluator(new_id, n, ev)
-
-
 def adjoint_kernel(k: KernelEvaluator) -> KernelEvaluator:
     """(zeta, z) -> conj(K(z, zeta)) with form slots exchanged."""
 

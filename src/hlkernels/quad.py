@@ -51,6 +51,7 @@ class Grid:
 
 
 GRID_BOX = 1.02     # half-width of the lattice box; both models fit in it
+BLOCK_NODES = 4096  # nodes per block of batched kernel evaluation and contraction
 
 
 def make_grid(model: DomainModel, h: float, eps: float | None = None) -> Grid:
@@ -62,12 +63,18 @@ def make_grid(model: DomainModel, h: float, eps: float | None = None) -> Grid:
     n = model.n
     m = int(np.ceil(GRID_BOX / h))
     axis = (np.arange(-m, m) + 0.5) * h
-    reals = np.meshgrid(*([axis] * (2 * n)), indexing="ij")
-    pts = np.stack([r.ravel() for r in reals], axis=1)
-    centers = pts[:, 0::2] + 1j * pts[:, 1::2]
-    rvals = _r_values(model, centers)
-    keep = rvals < -eps
-    centers = centers[keep]
+    # One slab of the lattice per value of the first real coordinate, masked
+    # before the next is built, so the whole box is never held at once.  The
+    # sparse axes broadcast straight into complex coordinates.
+    rest = np.meshgrid(*([axis] * (2 * n - 1)), indexing="ij", sparse=True)
+    shape = (len(axis),) * (2 * n - 1)
+    slabs = []
+    for x0 in axis:
+        reals = [x0, *rest]
+        slab = np.stack([np.broadcast_to(reals[2 * j] + 1j * reals[2 * j + 1], shape).ravel()
+                         for j in range(n)], axis=1)
+        slabs.append(slab[_r_values(model, slab) < -eps])
+    centers = np.concatenate(slabs)
     if len(centers) == 0:
         raise QuadError("empty grid")
     det = float(np.real(np.linalg.det(model.levi_const)))
@@ -76,8 +83,8 @@ def make_grid(model: DomainModel, h: float, eps: float | None = None) -> Grid:
 
 
 def _r_values(model: DomainModel, centers: np.ndarray) -> np.ndarray:
-    quad = np.real(np.einsum("ci,ij,cj->c", centers.conj(), model.levi_const, centers))
-    hol = 2.0 * np.real(np.einsum("ci,ij,cj->c", centers, model.hol2_const, centers))
+    quad = np.real(np.einsum("ci,ci->c", centers.conj(), centers @ model.levi_const.T))
+    hol = 2.0 * np.real(np.einsum("ci,ci->c", centers, centers @ model.hol2_const.T))
     return quad + hol + model.r_const
 
 
@@ -104,14 +111,11 @@ def anti_keys(n: int, q: int) -> tuple[tuple[int, ...], ...]:
 
 
 def field_from_function(grid: Grid, q: int, func) -> FormField:
-    """Sample a coefficient function func(point) -> dict[key, complex]."""
+    """Sample a coefficient function func(point) -> dict[key, complex], or
+    func.batch(points) -> (points, ncomp) when func has one."""
     keys = anti_keys(grid.n, q)
-    data = np.zeros((len(grid), len(keys)), dtype=complex)
     index = {k: j for j, k in enumerate(keys)}
-    for i, c in enumerate(grid.centers):
-        for k, v in func(c).items():
-            data[i, index[k]] = v
-    return FormField(grid, q, keys, data)
+    return FormField(grid, q, keys, _sample_field(func, grid.centers, keys, index))
 
 
 def weighted_lp_norm(f: FormField, a: float, p: float) -> float:
@@ -164,12 +168,6 @@ def _split_nodes(grid: Grid, z: np.ndarray):
     return far, far_vols, sub_c, sub_vol
 
 
-def _quadrature_nodes(grid: Grid, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    far, far_vols, sub, sub_vols = _split_nodes(grid, z)
-    return (np.concatenate([grid.centers[far], sub]),
-            np.concatenate([far_vols, sub_vols]))
-
-
 def _sample_field(f_func, pts: np.ndarray, keys, index) -> np.ndarray:
     if hasattr(f_func, "batch"):
         return f_func.batch(pts)
@@ -186,22 +184,34 @@ def apply_kernel(kernel: KernelEvaluator | None, f_func, grid: Grid,
     """Apply the integral operator of `kernel` to the (0,q) field sampled from
     f_func, at each target point.  Returns (ntargets, ncomp) output components
     in the conjugate z basis.  batch_eval, when given, must return the packed
-    kernel coefficient array (nodes, ncomp_in, ncomp_out) for fixed z."""
+    kernel coefficient array (nodes, ncomp_in, ncomp_out) for fixed z; it is
+    then evaluated once per target, and f_func.batch may return
+    (points, ..., ncomp) to apply that one kernel to a stack of fields at
+    once, giving (ntargets, ..., ncomp)."""
     n = grid.n
     keys = anti_keys(n, q)
     index = {k: j for j, k in enumerate(keys)}
     base_data = _sample_field(f_func, grid.centers, keys, index)
-    out = np.zeros((len(targets), len(keys)), dtype=complex)
+    out = np.zeros((len(targets),) + base_data.shape[1:], dtype=complex)
     for ti, z in enumerate(np.asarray(targets, dtype=complex)):
         far, far_vols, sub, sub_vols = _split_nodes(grid, z)
         nodes = np.concatenate([grid.centers[far], sub])
         vols = np.concatenate([far_vols, sub_vols])
-        fdata = np.concatenate([base_data[far],
-                                _sample_field(f_func, sub, keys, index)])
+        far_data = base_data[far]
         if batch_eval is not None:
+            # The field is sampled and contracted in blocks of nodes, so the
+            # working arrays have the same size whatever the target's node
+            # count; only the kernel array itself spans all the nodes.
             K = batch_eval(nodes, z)
-            out[ti] = np.einsum("ib,iba,i->a", fdata, K.conj(), vols)
+            for lo in range(0, len(nodes), BLOCK_NODES):
+                hi = min(lo + BLOCK_NODES, len(nodes))
+                fdata = _field_rows(f_func, far_data, sub, lo, hi, keys, index)
+                out[ti] += np.einsum("i...b,iba->...a", fdata,
+                                     K[lo:hi].conj() * vols[lo:hi, None, None],
+                                     optimize=True)
+            del K
         else:
+            fdata = _field_rows(f_func, far_data, sub, 0, len(nodes), keys, index)
             acc = np.zeros(len(keys), dtype=complex)
             for i, c in enumerate(nodes):
                 kv = kernel.eval(c, z)
@@ -214,6 +224,17 @@ def apply_kernel(kernel: KernelEvaluator | None, f_func, grid: Grid,
                     acc[index[d]] += v * vols[i]
             out[ti] = acc
     return out
+
+
+def _field_rows(f_func, far_data: np.ndarray, sub: np.ndarray, lo: int, hi: int,
+                keys, index) -> np.ndarray:
+    """Rows lo:hi of the field at the far cells followed by the subcells,
+    sampling only the subcells those rows cover."""
+    nfar = len(far_data)
+    rows = [far_data[lo:hi]]
+    if hi > nfar:
+        rows.append(_sample_field(f_func, sub[max(lo - nfar, 0):hi - nfar], keys, index))
+    return np.concatenate(rows)
 
 
 def pair_operator(kernel: KernelEvaluator, f_func, grid: Grid, z: np.ndarray,
@@ -273,21 +294,25 @@ def batch_nq(model: DomainModel, q: int):
     gam_const = factorial(n - 2) / (2.0 * pi ** n)
 
     def ev(nodes: np.ndarray, z: np.ndarray) -> np.ndarray:
+        # in blocks of nodes, so the temporaries below (a dozen arrays of
+        # nodes x n x n) have one size whatever the number of nodes
         z = np.asarray(z, dtype=complex)
+        gz = model.gamma(z)
+        rz = model.r(z)
+        Uz = model.frame(z)
+        out = np.empty((len(nodes), n, n), dtype=complex)
+        for lo in range(0, len(nodes), BLOCK_NODES):
+            out[lo:lo + BLOCK_NODES] = block(nodes[lo:lo + BLOCK_NODES], z, gz, rz, Uz)
+        return out
+
+    def block(nodes, z, gz, rz, Uz):
         grads = nodes.conj() + 2 * (nodes @ model.hol2_const.T)
         g = np.linalg.norm(grads, axis=1)
-        gz = model.gamma(z)
         rv = _r_values(model, nodes)
-        rz = model.r(z)
         d = nodes - z[None, :]
         rho2 = 2.0 * np.sum(np.abs(d) ** 2, axis=1)
-        jz = model.jet(z)
-        F = np.einsum("ci,ci->c", grads, d) \
-            - 0.5 * np.einsum("ci,ij,cj->c", d, 2 * model.hol2_const, d)
+        F = np.einsum("ci,ci->c", grads - d @ model.hol2_const.T, d)
         phi = F - rv
-        Fsw = np.einsum("i,ci->c", jz.grad, -d) - 0.5 * np.einsum(
-            "ci,ij,cj->c", -d, 2 * model.hol2_const, -d)
-        phi_star = np.conj(Fsw - rz)
         P = rho2 + 2.0 * (rv / g) * (rz / gz)
         s = np.zeros(len(nodes), dtype=complex)
         for mu in range(0, n - q - 1):
@@ -295,14 +320,12 @@ def batch_nq(model: DomainModel, q: int):
                   / (np.conj(phi) ** (mu + 2) * P ** (n - mu - 2)))
         s += _comb(n - 2, q) * (g / gz) * 2.0 * phi / (np.conj(phi) * P ** (n - 1))
         Uc = batch_frames(model, nodes)
-        Uz = model.frame(z)
-        A = np.einsum("cij,kj->cik", Uc, Uz.conj())   # M in adapted frames
-        nu_ad = A.copy()
-        nu_ad[:, : n - 1, : n - 1] = 0.0
-        tau_ad = A - nu_ad
-        body_ad = pref * s[:, None, None] * tau_ad \
-            + nu_const * (P ** (1 - n))[:, None, None] * nu_ad
-        body = np.einsum("cji,cjk,ka->cia", Uc.conj(), body_ad, Uz)
+        A = (Uc.reshape(-1, n) @ Uz.conj().T).reshape(Uc.shape)   # M in adapted frames
+        # the normal weight on the nu part of M, the tangential weight on the
+        # tau block
+        body_ad = nu_const * (P ** (1 - n))[:, None, None] * A
+        body_ad[:, : n - 1, : n - 1] = (pref * s)[:, None, None] * A[:, : n - 1, : n - 1]
+        body = np.einsum("cji,cjk,ka->cia", Uc.conj(), body_ad, Uz, optimize=True)
         gamma_part = gam_const * (rho2 ** (1 - n))[:, None, None] * np.eye(n)[None]
         return body + gamma_part
 
@@ -374,6 +397,16 @@ def random_test_field(model: DomainModel, q: int, seed: int, scale: float = 0.25
 # -- ratio tables -----------------------------------------------------------------
 
 
+class _FieldStack:
+    """Fields with a batch method viewed as one: (points, nfields, ncomp)."""
+
+    def __init__(self, fields):
+        self.fields = fields
+
+    def batch(self, pts: np.ndarray) -> np.ndarray:
+        return np.stack([f.batch(pts) for f in self.fields], axis=1)
+
+
 @dataclass
 class RatioRow:
     resolution: int
@@ -415,22 +448,32 @@ def ratio_table(model: DomainModel, kernel_name: str, q: int,
         raise QuadError(f"no vectorized kernel {kernel_name!r}")
     if eps is None:
         eps = 2.0 * (2.0 * GRID_BOX / min(resolutions))
+    keys = anti_keys(n, kq)
+    fields = [random_test_field(model, kq, seed=seed + 100 * trial)
+              for trial in range(trials)]
+    gam_t = np.array([model.gamma(z) for z in targets])
     rows: list[RatioRow] = []
     for res in resolutions:
         h = 2.0 * GRID_BOX / res
         grid = make_grid(model, h, eps=eps)
-        gam_t = np.array([model.gamma(z) for z in targets])
         tw = np.full(len(targets), grid.total_volume() / len(targets))
+        sampled = _FieldStack(fields).batch(grid.centers)
+        kept, denoms = [], []
         for trial in range(trials):
-            f_func = random_test_field(model, kq, seed=seed + 100 * trial)
-            f = field_from_function(grid, kq, f_func)
+            f = FormField(grid, kq, keys, sampled[:, trial])
             denom = weighted_lp_norm(f, b, p) + weighted_lp_norm(f, 0.0, 2)
-            if denom < 1e-14:
-                continue
-            out = apply_kernel(None, f_func, grid, targets, kq, batch_eval=batch)
-            vals = np.sqrt(np.sum(np.abs(out) ** 2, axis=1))
-            num = norm_values(vals, gam_t, tw, a, s)
-            rows.append(RatioRow(res, p, s, a, b, trial, num / denom))
+            if denom >= 1e-14:
+                kept.append(trial)
+                denoms.append(denom)
+        if not kept:
+            continue
+        # one kernel evaluation per target, contracted against every kept trial
+        out = apply_kernel(None, _FieldStack([fields[t] for t in kept]), grid, targets,
+                           kq, batch_eval=batch)
+        vals = np.sqrt(np.sum(np.abs(out) ** 2, axis=2))
+        for j, trial in enumerate(kept):
+            num = norm_values(vals[:, j], gam_t, tw, a, s)
+            rows.append(RatioRow(res, p, s, a, b, trial, num / denoms[j]))
     by_res = {}
     for r in rows:
         by_res.setdefault(r.resolution, []).append(r.ratio)

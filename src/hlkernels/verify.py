@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import forms, kernels, quad
-from .domain import DomainModel, make_domain
+from .domain import DomainError, DomainModel, make_domain
 
 ZERO_FLOOR = 1e-13
 
@@ -119,18 +119,23 @@ class CheckResult:
                 "pass" if self.passed else "FAIL"]
 
 
+BASE_POINT_TRIES = 1000
+
+
 def _base_point(model: DomainModel, seed: int = 0) -> np.ndarray:
     """Deterministic non-singular boundary base point."""
     rng = np.random.default_rng(7 + seed)
-    while True:
+    for _ in range(BASE_POINT_TRIES):
         v = rng.standard_normal(model.n) + 1j * rng.standard_normal(model.n)
         v = v / np.linalg.norm(v)
         try:
             p = model.project_boundary(0.9 * v + 0.1)
-        except Exception:
+        except DomainError:
             continue
         if model.gamma(p) > 0.3:
             return p
+    raise VerifyError(f"no boundary base point with gamma > 0.3 on {model.name} "
+                      f"after {BASE_POINT_TRIES} tries")
 
 
 # -- geometric suites ------------------------------------------------------------
@@ -227,10 +232,16 @@ def suite_phibound(model: DomainModel, n: int, q: int, seed: int,
                    + abs(phi.imag))
             if rhs > 0:
                 ratios.append(abs(phi) / rhs)
-        cs.append(min(ratios))
-    stable = abs(cs[1] - cs[0]) <= THRESHOLDS["lower_bound_stability"] * max(cs)
+        cs.append(min(ratios) if ratios else None)
     out.append(CheckResult("phibound", "re-phi-positive", repos, 1.0 if repos else 0.0,
                            1.0, {"comparison": "sign"}))
+    if None in cs:
+        out.append(CheckResult("phibound", "lower-bound-constant-stable", False, 0.0, 0.0,
+                               {"c_fits": cs, "comparison": "stability<=20%",
+                                "reason": "every trial point left the halo at one "
+                                          "refinement, so no constant was fitted"}))
+        return out
+    stable = abs(cs[1] - cs[0]) <= THRESHOLDS["lower_bound_stability"] * max(cs)
     out.append(CheckResult("phibound", "lower-bound-constant-stable",
                            stable and cs[0] > 0, min(cs), 0.0,
                            {"c_fits": cs, "comparison": "stability<=20%"}))
@@ -528,11 +539,25 @@ SUITES = {
 DEFAULT_TGRID = tuple(2.0 ** (-k) for k in range(3, 11))
 
 
+# Least form degree q each kernel suite is defined for; all of them need
+# q <= n - 2 as well.  The other suites do not read q.
+KERNEL_SUITE_MIN_Q = {"lemmalq": 0, "dgh": 0, "nkern": 1, "tq-type": 0}
+
+
+def check_suite_args(name: str, n: int, q: int) -> None:
+    """Raise VerifyError unless suite `name` is defined at dimension n, degree q."""
+    if name not in SUITES:
+        raise VerifyError(f"unknown suite {name!r}; have {sorted(SUITES)}")
+    qmin = KERNEL_SUITE_MIN_Q.get(name)
+    if qmin is not None and not qmin <= q <= n - 2:
+        raise VerifyError(f"suite {name!r} needs {qmin} <= q <= n - 2; "
+                          f"got n={n}, q={q}")
+
+
 def run_suite(name: str, domain_name: str, n: int, q: int = 1, seed: int = 0,
               t_grid=DEFAULT_TGRID, delta: float = 0.15) -> dict:
     """Run one named suite; returns a JSON-ready report."""
-    if name not in SUITES:
-        raise VerifyError(f"unknown suite {name!r}; have {sorted(SUITES)}")
+    check_suite_args(name, n, q)
     model = make_domain(domain_name, n, delta=delta)
     checks = SUITES[name](model, n, q, seed, t_grid)
     return {

@@ -104,3 +104,31 @@ def test_config_file_with_flag_override(tmp_path):
                                "out": str(tmp_path / "cfgout")}))
     assert run(["--config", str(cfg), "suite", "--suites", "morse"]) == 0
     assert (tmp_path / "cfgout" / "suite_report.json").exists()
+
+
+def _one_line_usage_error(code, capsys):
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+def test_suite_nkern_needs_n3(tmp_path, capsys):
+    code = run(["suite", "--domain", "pinched", "--n", "2", "--suites", "nkern",
+                "--out", str(tmp_path / "o")])
+    _one_line_usage_error(code, capsys)
+    assert not (tmp_path / "o").exists()
+
+
+def test_suite_q_out_of_range(tmp_path, capsys):
+    code = run(["suite", "--n", "3", "--q", "5", "--suites", "lemmalq",
+                "--out", str(tmp_path / "o")])
+    _one_line_usage_error(code, capsys)
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_value_of_wrong_type(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": "3", "out": str(tmp_path / "o")}))
+    code = run(["--config", str(cfg), "suite", "--suites", "morse"])
+    _one_line_usage_error(code, capsys)
+    assert not (tmp_path / "o").exists()

@@ -154,6 +154,92 @@ def test_ratio_table_deterministic_and_metadata():
     assert set(rep1["meta"]["max_ratio_by_resolution"]) == {8, 10}
 
 
+def _per_trial_ratios(model, kernel_name, q, a, b, p, s, trials, res, seed, n_targets):
+    """ratio_table's rows rebuilt one trial at a time with single-field
+    apply_kernel calls, so every trial evaluates its own kernels."""
+    n = model.n
+    rng = np.random.default_rng(seed)
+    targets = []
+    while len(targets) < n_targets:
+        cand = rng.uniform(-0.45, 0.45, 2 * n)
+        zc = cand[0::2] + 1j * cand[1::2]
+        if model.r(zc) < -0.3:
+            targets.append(zc)
+    targets = np.asarray(targets)
+    batch = (quad.batch_isotropic_model(model) if kernel_name == "E"
+             else batch_nq(model, q))
+    h = 2.0 * quad.GRID_BOX / res
+    grid = make_grid(model, h, eps=2.0 * h)
+    gam_t = np.array([model.gamma(z) for z in targets])
+    tw = np.full(len(targets), grid.total_volume() / len(targets))
+    out = []
+    for trial in range(trials):
+        f_func = quad.random_test_field(model, q, seed=seed + 100 * trial)
+        f = field_from_function(grid, q, f_func)
+        denom = weighted_lp_norm(f, b, p) + weighted_lp_norm(f, 0.0, 2)
+        vals = np.linalg.norm(apply_kernel(None, f_func, grid, targets, q,
+                                           batch_eval=batch), axis=1)
+        out.append(quad.norm_values(vals, gam_t, tw, a, s) / denom)
+    return out
+
+
+@pytest.mark.parametrize("model, kernel_name, q, a, b, res", [
+    (BALL2, "E", 0, 0.0, 0.0, 8),
+    (BALL3, "Nq", 1, 15.0, 2.0, 6),
+])
+def test_ratio_table_kernel_reuse_keeps_the_numbers(model, kernel_name, q, a, b, res):
+    trials, seed, n_targets = 3, 5, 12
+    rep = ratio_table(model, kernel_name, q, a=a, b=b, p=2, s=3.5, trials=trials,
+                      resolutions=[res], seed=seed, n_targets=n_targets)
+    want = _per_trial_ratios(model, kernel_name, q, a, b, 2, 3.5, trials, res, seed,
+                             n_targets)
+    assert [(r.resolution, r.trial) for r in rep["rows"]] == \
+        [(res, t) for t in range(trials)]
+    np.testing.assert_allclose([r.ratio for r in rep["rows"]], want, rtol=1e-12, atol=0)
+
+
+def test_field_from_function_batch_equals_pointwise():
+    g = make_grid(BALL3, 0.3)
+    f_func = quad.random_test_field(BALL3, 1, seed=2)
+    f = field_from_function(g, 1, f_func)
+    keys = anti_keys(3, 1)
+    want = np.array([[f_func(c)[k] for k in keys] for c in g.centers])
+    np.testing.assert_allclose(f.data, want, rtol=1e-14, atol=0)
+
+
+def test_make_grid_matches_dense_lattice():
+    # the grid is built slab by slab; the dense box masked at once is the reference
+    for model, h, eps in ((BALL2, 0.15, None), (domain.pinched(3), 0.3, 0.2)):
+        g = make_grid(model, h, eps=eps)
+        m = int(np.ceil(quad.GRID_BOX / h))
+        axis = (np.arange(-m, m) + 0.5) * h
+        reals = np.stack(np.meshgrid(*([axis] * (2 * model.n)), indexing="ij"),
+                         axis=-1).reshape(-1, 2 * model.n)
+        dense = reals[:, 0::2] + 1j * reals[:, 1::2]
+        want = dense[quad._r_values(model, dense) < -g.eps]
+        assert np.array_equal(g.centers, want)
+
+
+@pytest.mark.parametrize("kernel_name", ["E", "Nq"])
+def test_blocked_evaluation_matches_one_block(monkeypatch, kernel_name):
+    # blocks of 7 nodes split the far cells, the subcells and the boundary
+    # between them unevenly
+    model, q = (BALL2, 0) if kernel_name == "E" else (BALL3, 1)
+    batch = quad.batch_isotropic_model(model) if q == 0 else batch_nq(model, q)
+    g = make_grid(model, 0.3, eps=0.3)
+    z = np.array([[0.05, -0.1j] + [0.0] * (model.n - 2),
+                  [0.2j, 0.1] + [0.0] * (model.n - 2)], dtype=complex)
+    fields = quad._FieldStack([quad.random_test_field(model, q, seed=s) for s in (1, 2)])
+    nodes = g.centers[::3]
+    monkeypatch.setattr(quad, "BLOCK_NODES", 10 ** 9)
+    want_out = apply_kernel(None, fields, g, z, q, batch_eval=batch)
+    want_k = batch(nodes, z[0])
+    monkeypatch.setattr(quad, "BLOCK_NODES", 7)
+    np.testing.assert_allclose(apply_kernel(None, fields, g, z, q, batch_eval=batch),
+                               want_out, rtol=1e-12, atol=0)
+    np.testing.assert_array_equal(batch(nodes, z[0]), want_k)
+
+
 def test_ratio_table_unknown_kernel():
     with pytest.raises(QuadError):
         ratio_table(BALL2, "X", 0, a=0, b=0, p=2, s=3.5, trials=1, resolutions=[8])

@@ -85,3 +85,26 @@ def test_tq_slope_matches_type_prediction():
 def test_reports_embed_thresholds():
     rep = run_suite("morse", "pinched", 2)
     assert rep["thresholds"]["rate_gap"] == 0.8
+
+
+def test_base_point_gives_up_with_verify_error(monkeypatch):
+    from hlkernels.domain import DomainModel, SingularFramePoint, ball
+
+    def always_singular(self, zeta, iters=60):
+        raise SingularFramePoint("projection hit a critical point")
+
+    monkeypatch.setattr(DomainModel, "project_boundary", always_singular)
+    with pytest.raises(VerifyError):
+        verify._base_point(ball(2))
+
+
+def test_phibound_with_every_trial_outside_the_halo(monkeypatch):
+    from hlkernels.domain import DomainModel, ball
+    base = verify._base_point(ball(2))
+    monkeypatch.setattr(verify, "_base_point", lambda model, seed=0: base)
+    monkeypatch.setattr(DomainModel, "in_halo", lambda self, zeta: False)
+    rep = run_suite("phibound", "ball", 2)
+    check = [c for c in rep["checks"] if c["check"] == "lower-bound-constant-stable"][0]
+    assert not check["passed"]
+    assert "halo" in check["details"]["reason"]
+    assert rep["passed"] is False
