@@ -23,7 +23,7 @@ EXIT_USAGE = 2
 DOMAINS = ("ball", "pinched")
 # Type of each configuration value; an int is accepted where a float is.
 CONFIG_TYPES = {"domain": str, "n": int, "q": int, "seed": int,
-                "h": float, "eps": float, "delta": float, "out": str}
+                "eps": float, "delta": float, "out": str}
 
 
 def _check_config_types(cfg: dict) -> None:
@@ -44,7 +44,7 @@ def _load_config(args) -> dict:
         cfg = json.loads(Path(args.config).read_text())
         if not isinstance(cfg, dict):
             raise ValueError("config file must hold a JSON object")
-    for key in ("domain", "n", "q", "seed", "h", "eps", "delta", "out"):
+    for key in ("domain", "n", "q", "seed", "eps", "delta", "out"):
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
@@ -205,7 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int)
         p.add_argument("--q", type=int)
         p.add_argument("--seed", type=int)
-        p.add_argument("--h", type=float, help="grid cell width where applicable")
         p.add_argument("--eps", type=float, help="interior exhaustion parameter")
         p.add_argument("--delta", type=float)
         p.add_argument("--out")

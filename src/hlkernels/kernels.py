@@ -98,11 +98,11 @@ def beta(model: DomainModel) -> KernelEvaluator:
 FD_REL_STEP = 1e-4
 
 
-def _fd_scale(zeta: np.ndarray, z: np.ndarray, rel: float) -> float:
+def _fd_scale(zeta: np.ndarray, z: np.ndarray) -> float:
     d = float(np.linalg.norm(zeta - z))
     if d <= 0:
         raise StepTooLarge("finite difference at the diagonal")
-    return rel * d
+    return FD_REL_STEP * d
 
 
 def _directional(evalf, base: np.ndarray, other: np.ndarray, j: int,
@@ -119,75 +119,40 @@ def _directional(evalf, base: np.ndarray, other: np.ndarray, j: int,
     return d2.scale(4.0 / 3.0) - d1.scale(1.0 / 3.0)
 
 
-def _check_coord(f: DoubleForm) -> DoubleForm:
-    if f.frame != forms.COORD_FRAME:
-        raise KernelError("derivative operators require coordinate-frame values")
-    return f
+# (op, var) -> (evaluator id prefix, DoubleForm.monomial slot of the new
+# differential); the ids name z for zeta and w for z
+_DERIVATIVES = {
+    ("dbar", "zeta"): ("dbar_z", "az"),
+    ("del", "zeta"): ("del_z", "hz"),
+    ("dbar", "z"): ("dbar_w", "aw"),
+    ("del", "z"): ("del_w", "hw"),
+}
 
 
-def kernel_dbar_zeta(k: KernelEvaluator, rel: float = FD_REL_STEP) -> KernelEvaluator:
-    """dbar in zeta: sum_j dzetabar_j ^ dK/dzetabar_j by finite differences."""
+def kernel_derivative(k: KernelEvaluator, op: str, var: str) -> KernelEvaluator:
+    """op = "dbar" or "del" of a kernel in var = "zeta" or "z": the sum over j
+    of d(var)bar_j ^ dK/d(var)bar_j, or of d(var)_j ^ dK/d(var)_j, by central
+    differences with one Richardson level and step FD_REL_STEP * |zeta - z|."""
+    try:
+        prefix, slot = _DERIVATIVES[(op, var)]
+    except KeyError:
+        raise KernelError(f"unknown derivative {op!r} in {var!r}") from None
     n = k.n
 
     def ev(zeta, z):
-        h = _fd_scale(zeta, z, rel)
+        h = _fd_scale(zeta, z)
+        base, other = (zeta, z) if var == "zeta" else (z, zeta)
         out = DoubleForm.zero(n)
         for j in range(n):
-            dx = _directional(k.eval, zeta, z, j, 1.0, h, "zeta")
-            dy = _directional(k.eval, zeta, z, j, 1.0j, h, "zeta")
-            der = (dx + dy.scale(1.0j)).scale(0.5)
-            out = out + wedge(DoubleForm.monomial(n, az=(j + 1,)), _check_coord(der))
+            dx = _directional(k.eval, base, other, j, 1.0, h, var)
+            dy = _directional(k.eval, base, other, j, 1.0j, h, var).scale(1.0j)
+            der = (dx + dy if op == "dbar" else dx - dy).scale(0.5)
+            if der.frame != forms.COORD_FRAME:
+                raise KernelError("derivative operators require coordinate-frame values")
+            out = out + wedge(DoubleForm.monomial(n, **{slot: (j + 1,)}), der)
         return out
 
-    return KernelEvaluator(f"dbar_z[{k.id}]", n, ev, k.q)
-
-
-def kernel_del_zeta(k: KernelEvaluator, rel: float = FD_REL_STEP) -> KernelEvaluator:
-    n = k.n
-
-    def ev(zeta, z):
-        h = _fd_scale(zeta, z, rel)
-        out = DoubleForm.zero(n)
-        for j in range(n):
-            dx = _directional(k.eval, zeta, z, j, 1.0, h, "zeta")
-            dy = _directional(k.eval, zeta, z, j, 1.0j, h, "zeta")
-            der = (dx - dy.scale(1.0j)).scale(0.5)
-            out = out + wedge(DoubleForm.monomial(n, hz=(j + 1,)), _check_coord(der))
-        return out
-
-    return KernelEvaluator(f"del_z[{k.id}]", n, ev, k.q)
-
-
-def kernel_dbar_z(k: KernelEvaluator, rel: float = FD_REL_STEP) -> KernelEvaluator:
-    n = k.n
-
-    def ev(zeta, z):
-        h = _fd_scale(zeta, z, rel)
-        out = DoubleForm.zero(n)
-        for j in range(n):
-            dx = _directional(k.eval, z, zeta, j, 1.0, h, "z")
-            dy = _directional(k.eval, z, zeta, j, 1.0j, h, "z")
-            der = (dx + dy.scale(1.0j)).scale(0.5)
-            out = out + wedge(DoubleForm.monomial(n, aw=(j + 1,)), _check_coord(der))
-        return out
-
-    return KernelEvaluator(f"dbar_w[{k.id}]", n, ev, k.q)
-
-
-def kernel_del_z(k: KernelEvaluator, rel: float = FD_REL_STEP) -> KernelEvaluator:
-    n = k.n
-
-    def ev(zeta, z):
-        h = _fd_scale(zeta, z, rel)
-        out = DoubleForm.zero(n)
-        for j in range(n):
-            dx = _directional(k.eval, z, zeta, j, 1.0, h, "z")
-            dy = _directional(k.eval, z, zeta, j, 1.0j, h, "z")
-            der = (dx - dy.scale(1.0j)).scale(0.5)
-            out = out + wedge(DoubleForm.monomial(n, hw=(j + 1,)), _check_coord(der))
-        return out
-
-    return KernelEvaluator(f"del_w[{k.id}]", n, ev, k.q)
+    return KernelEvaluator(f"{prefix}[{k.id}]", n, ev, k.q)
 
 
 def kernel_star_zeta(k: KernelEvaluator) -> KernelEvaluator:
@@ -197,10 +162,10 @@ def kernel_star_zeta(k: KernelEvaluator) -> KernelEvaluator:
     return KernelEvaluator(f"star_z[{k.id}]", k.n, ev, k.q)
 
 
-def kernel_vartheta_zeta(k: KernelEvaluator, rel: float = FD_REL_STEP) -> KernelEvaluator:
+def kernel_vartheta_zeta(k: KernelEvaluator) -> KernelEvaluator:
     """Formal adjoint of dbar in zeta: -*_zeta d_zeta *_zeta, certified by the
     discrete adjointness suite."""
-    inner = kernel_del_zeta(kernel_star_zeta(k), rel)
+    inner = kernel_derivative(kernel_star_zeta(k), "del", "zeta")
 
     def ev(zeta, z):
         return forms.hodge_star(inner.eval(zeta, z), None, "zeta").scale(-1.0)
@@ -230,18 +195,18 @@ def coefficient_c(n: int, q: int) -> float:
     return 2.0 ** (n - 2) / (2 * pi) ** n * factorial(q) * factorial(n - q - 2)
 
 
-def cq(model: DomainModel, q: int, rel: float = FD_REL_STEP) -> KernelEvaluator:
+def cq(model: DomainModel, q: int) -> KernelEvaluator:
     """The double sum over a_{q mu nu} of wedge products of alpha, beta and
     their dbar factors (finite-difference derivatives)."""
     n = model.n
-    if q > n - 2:
+    if not 0 <= q <= n - 2:
         raise KernelError(f"q={q} out of range for n={n}")
     al = alpha(model)
     be = beta(model)
-    d_al = kernel_dbar_zeta(al, rel)
-    d_be = kernel_dbar_zeta(be, rel)
-    dz_al = kernel_dbar_z(al, rel)
-    dz_be = kernel_dbar_z(be, rel)
+    d_al = kernel_derivative(al, "dbar", "zeta")
+    d_be = kernel_derivative(be, "dbar", "zeta")
+    dz_al = kernel_derivative(al, "dbar", "z")
+    dz_be = kernel_derivative(be, "dbar", "z")
 
     def ev(zeta, z):
         av = al.eval(zeta, z)
@@ -266,9 +231,9 @@ def cq(model: DomainModel, q: int, rel: float = FD_REL_STEP) -> KernelEvaluator:
     return KernelEvaluator(f"Cq[q={q}]", n, ev, q)
 
 
-def lq(model: DomainModel, q: int, rel: float = FD_REL_STEP) -> KernelEvaluator:
+def lq(model: DomainModel, q: int) -> KernelEvaluator:
     """(-1)^(q+1) *_zeta conj(C_q)."""
-    c = cq(model, q, rel)
+    c = cq(model, q)
     sign = (-1.0) ** (q + 1)
 
     def ev(zeta, z):
@@ -277,12 +242,14 @@ def lq(model: DomainModel, q: int, rel: float = FD_REL_STEP) -> KernelEvaluator:
     return KernelEvaluator(f"Lq[q={q}]", model.n, ev, q, claimed_type=2)
 
 
-def kq(model: DomainModel, q: int, rel: float = FD_REL_STEP) -> KernelEvaluator:
+def kq(model: DomainModel, q: int) -> KernelEvaluator:
     """Cauchy-Fantappie type kernel built from alpha alone."""
     n = model.n
+    if not 0 <= q <= n - 1:
+        raise KernelError(f"q={q} out of range for n={n}")
     al = alpha(model)
-    d_al = kernel_dbar_zeta(al, rel)
-    dz_al = kernel_dbar_z(al, rel)
+    d_al = kernel_derivative(al, "dbar", "zeta")
+    dz_al = kernel_derivative(al, "dbar", "z")
     const = ((-1.0) ** (q * (q - 1) // 2)) * comb(n - 1, q) * (1.0 / (2j * pi)) ** n
 
     def ev(zeta, z):
@@ -320,6 +287,8 @@ def gamma0q(model: DomainModel, q: int) -> KernelEvaluator:
     wedge power of the mixed second-order form (an identity matrix on
     (0,q) components up to first order)."""
     n = model.n
+    if not 0 <= q <= n:
+        raise KernelError(f"q={q} out of range for n={n}")
     const = factorial(n - 2) / (2.0 * pi ** n)
 
     def ev(zeta, z):
@@ -336,19 +305,19 @@ def gamma0q(model: DomainModel, q: int) -> KernelEvaluator:
 # -- homotopy kernels -----------------------------------------------------------
 
 
-def tq(model: DomainModel, q: int, rel: float = FD_REL_STEP) -> KernelEvaluator:
+def tq(model: DomainModel, q: int) -> KernelEvaluator:
     """vartheta L_q - d_z L_{q-1} + dbar Gamma_{0q} for q >= 1; the q = 0
     variant replaces the middle term by -*_zeta conj(K_0)."""
     n = model.n
-    vt = kernel_vartheta_zeta(lq(model, q, rel), rel)
-    dg = kernel_dbar_zeta(gamma0q(model, q), rel)
+    vt = kernel_vartheta_zeta(lq(model, q))
+    dg = kernel_derivative(gamma0q(model, q), "dbar", "zeta")
     if q >= 1:
-        mid = kernel_del_z(lq(model, q - 1, rel), rel)
+        mid = kernel_derivative(lq(model, q - 1), "del", "z")
 
         def ev(zeta, z):
             return vt.eval(zeta, z) - mid.eval(zeta, z) + dg.eval(zeta, z)
     else:
-        k0 = kq(model, 0, rel)
+        k0 = kq(model, 0)
 
         def ev(zeta, z):
             mid_v = forms.hodge_star(conj_form(k0.eval(zeta, z)), None, "zeta")
@@ -357,10 +326,10 @@ def tq(model: DomainModel, q: int, rel: float = FD_REL_STEP) -> KernelEvaluator:
     return KernelEvaluator(f"Tq[q={q}]", n, ev, q, claimed_type=1)
 
 
-def h_numeric(model: DomainModel, q: int, rel: float = FD_REL_STEP) -> KernelEvaluator:
+def h_numeric(model: DomainModel, q: int) -> KernelEvaluator:
     """vartheta L_q - d_z L_{q-1}: the part of T_q carrying the frame terms."""
-    vt = kernel_vartheta_zeta(lq(model, q, rel), rel)
-    mid = kernel_del_z(lq(model, q - 1, rel), rel)
+    vt = kernel_vartheta_zeta(lq(model, q))
+    mid = kernel_derivative(lq(model, q - 1), "del", "z")
 
     def ev(zeta, z):
         return vt.eval(zeta, z) - mid.eval(zeta, z)
@@ -424,6 +393,9 @@ def g_l(model: DomainModel, q: int, L: tuple[int, ...]) -> KernelEvaluator:
     Returns the omega-bar coefficient form of Theta^L as a (0, q) zeta-form.
     """
     n = model.n
+    if q < 1:
+        # the weight divides by n - mu - 2, which is 0 at mu = n - 2
+        raise KernelError(f"G_L needs q >= 1, got q={q}")
     if len(L) != q:
         raise KernelError(f"|L| != q: {L} vs {q}")
     cnq = coefficient_c(n, q)
@@ -433,7 +405,6 @@ def g_l(model: DomainModel, q: int, L: tuple[int, ...]) -> KernelEvaluator:
         g = model.gamma(zeta)
         gs = model.gamma(z)
         phi = model.phi(zeta, z)
-        phib = np.conj(phi)
         P = model.big_p(zeta, z)
         if n in L:
             const = -(2.0 ** (n - 1)) * factorial(n - 2) / (2 * pi) ** n
@@ -441,11 +412,7 @@ def g_l(model: DomainModel, q: int, L: tuple[int, ...]) -> KernelEvaluator:
             val = const * P ** (1 - n) * (-1.0) ** (len(L) - 1)
             out = adapted_monomial(n, az=tuple(sorted(L)), value=val)
         else:
-            s = 0.0 + 0.0j
-            for mu in range(0, n - q - 1):
-                s += (comb(n - mu - 2, q) * g ** 2 * (mu + 1) / (n - mu - 2)
-                      / (phib ** (mu + 2) * P ** (n - mu - 2)))
-            s += comb(n - 2, q) * (g / gs) * 2.0 * phi / (phib * P ** (n - 1))
+            s = neumann_tangential_scalar(n, q, g, gs, phi, P)
             out = adapted_monomial(n, az=tuple(sorted(L)), value=cnq * s)
         return forms.change_frame_zeta(out, Uz, COORD)
 
@@ -517,19 +484,17 @@ def tau_nu_split(model: DomainModel, zeta, z) -> tuple[DoubleForm, DoubleForm]:
     return tau, nu
 
 
-def neumann_tangential_scalar(model: DomainModel, q: int, zeta, z) -> complex:
+def neumann_tangential_scalar(n: int, q: int, g, gs, phi, P):
     """Scalar weight on the tangential block of the Neumann kernel: the mu-sum
-    plus the bounded weighted-ratio term."""
-    n = model.n
-    g = model.gamma(zeta)
-    gs = model.gamma(z)
-    phib = np.conj(model.phi(zeta, z))
-    P = model.big_p(zeta, z)
+    plus the bounded weighted-ratio term.  g = gamma(zeta), gs = gamma(z),
+    phi = Phi(zeta, z) and P = P(zeta, z) are scalars or arrays of one shape;
+    the weight is taken elementwise."""
+    phib = np.conj(phi)
     s = 0.0 + 0.0j
     for mu in range(0, n - q - 1):
         s += (g ** 2 * comb(n - mu - 2, q) * (mu + 1) / (n - mu - 2)
               / (phib ** (mu + 2) * P ** (n - mu - 2)))
-    s += comb(n - 2, q) * (g / gs) * 2.0 * model.phi(zeta, z) / (phib * P ** (n - 1))
+    s += comb(n - 2, q) * (g / gs) * 2.0 * phi / (phib * P ** (n - 1))
     return s
 
 
@@ -550,8 +515,8 @@ def nq(model: DomainModel, q: int) -> KernelEvaluator:
         gs = model.gamma(z)
         if min(g, gs) <= 1e-8:
             raise SingularFramePoint("frame undefined")
-        s = neumann_tangential_scalar(model, q, zeta, z)
         P = model.big_p(zeta, z)
+        s = neumann_tangential_scalar(n, q, g, gs, model.phi(zeta, z), P)
         tau, nu = tau_nu_split(model, zeta, z)
         body = wedge_power(tau, q).scale(pref * s)
         body = body + wedge(wedge_power(tau, q - 1), nu).scale(nu_const * P ** (1 - n))

@@ -100,11 +100,6 @@ class FormField:
     def norm_pointwise(self) -> np.ndarray:
         return np.sqrt(np.sum(np.abs(self.data) ** 2, axis=1))
 
-    def value_at(self, i: int) -> DoubleForm:
-        coeffs = {((), k, (), ()): self.data[i, j] for j, k in enumerate(self.keys)
-                  if self.data[i, j] != 0}
-        return DoubleForm(self.grid.n, coeffs)
-
 
 def anti_keys(n: int, q: int) -> tuple[tuple[int, ...], ...]:
     return tuple(combinations(range(1, n + 1), q))
@@ -314,11 +309,7 @@ def batch_nq(model: DomainModel, q: int):
         F = np.einsum("ci,ci->c", grads - d @ model.hol2_const.T, d)
         phi = F - rv
         P = rho2 + 2.0 * (rv / g) * (rz / gz)
-        s = np.zeros(len(nodes), dtype=complex)
-        for mu in range(0, n - q - 1):
-            s += (g ** 2 * _comb(n - mu - 2, q) * (mu + 1) / (n - mu - 2)
-                  / (np.conj(phi) ** (mu + 2) * P ** (n - mu - 2)))
-        s += _comb(n - 2, q) * (g / gz) * 2.0 * phi / (np.conj(phi) * P ** (n - 1))
+        s = kernels.neumann_tangential_scalar(n, q, g, gz, phi, P)
         Uc = batch_frames(model, nodes)
         A = (Uc.reshape(-1, n) @ Uz.conj().T).reshape(Uc.shape)   # M in adapted frames
         # the normal weight on the nu part of M, the tangential weight on the
@@ -330,11 +321,6 @@ def batch_nq(model: DomainModel, q: int):
         return body + gamma_part
 
     return ev
-
-
-def _comb(a: int, b: int) -> float:
-    from math import comb
-    return float(comb(a, b)) if 0 <= b <= a else 0.0
 
 
 def batch_isotropic_model(model: DomainModel):
@@ -349,15 +335,6 @@ def batch_isotropic_model(model: DomainModel):
 
 
 # -- seeded smooth test fields ---------------------------------------------------
-
-
-def bump(x: np.ndarray | float) -> np.ndarray | float:
-    """Smooth compactly supported profile on |x| < 1."""
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    inside = np.abs(x) < 1.0
-    out[inside] = np.exp(-1.0 / (1.0 - x[inside] ** 2) + 1.0)
-    return out
 
 
 class TestField:

@@ -132,3 +132,20 @@ def test_config_value_of_wrong_type(tmp_path, capsys):
     code = run(["--config", str(cfg), "suite", "--suites", "morse"])
     _one_line_usage_error(code, capsys)
     assert not (tmp_path / "o").exists()
+
+
+def test_suite_dgh_needs_q1(tmp_path, capsys):
+    code = run(["suite", "--domain", "ball", "--n", "3", "--q", "0", "--suites", "dgh",
+                "--out", str(tmp_path / "o")])
+    _one_line_usage_error(code, capsys)
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("kernel,q", [("Kq", 5), ("Gamma0q", 5), ("Cq", -1)])
+def test_eval_q_out_of_range(tmp_path, capsys, kernel, q):
+    pts = tmp_path / "pts.csv"
+    pts.write_text("1.0,0,0,0,0.9,0,0,0\n")
+    code = run(["eval", "--kernel", kernel, "--domain", "ball", "--n", "2",
+                "--q", str(q), "--points", str(pts), "--out", str(tmp_path / "o")])
+    _one_line_usage_error(code, capsys)
+    assert not (tmp_path / "o").exists()

@@ -127,7 +127,8 @@ def test_parametrix_interlock_exact():
     scalar parametrix; this pins the normalization."""
     zeta, z = c(0.8, 0.15, 0.05), c(0.7, 0.1, 0.12)
     a = kernels.kernel_vartheta_zeta(kernels.gamma0q(BALL3, 1)).eval(zeta, z)
-    b = adjoint_kernel(kernels.kernel_dbar_zeta(kernels.gamma0q(BALL3, 0))).eval(zeta, z)
+    dg = kernels.kernel_derivative(kernels.gamma0q(BALL3, 0), "dbar", "zeta")
+    b = adjoint_kernel(dg).eval(zeta, z)
     assert (a - b).norm() < 1e-8 * b.norm()
 
 
@@ -137,7 +138,7 @@ def test_parametrix_interlock_exact():
 def test_dbar_of_constant_kernel_vanishes():
     const = kernels.KernelEvaluator(
         "const", 2, lambda zeta, z: DoubleForm.monomial(2, az=(1,), value=2.0 - 1.0j))
-    v = kernels.kernel_dbar_zeta(const).eval(c(0.5, 0.1), c(0.3, -0.2))
+    v = kernels.kernel_derivative(const, "dbar", "zeta").eval(c(0.5, 0.1), c(0.3, -0.2))
     assert v.norm() < 1e-9
 
 
@@ -147,9 +148,10 @@ def test_dbar_squared_vanishes():
                                  * (1 + zeta[1] * np.conj(zeta[0])))
 
     k = kernels.KernelEvaluator("smooth", 2, smooth)
-    dd = kernels.kernel_dbar_zeta(kernels.kernel_dbar_zeta(k))
+    d = kernels.kernel_derivative(k, "dbar", "zeta")
+    dd = kernels.kernel_derivative(d, "dbar", "zeta")
     v = dd.eval(c(0.4, 0.2), c(0.1, -0.1))
-    ref = kernels.kernel_dbar_zeta(k).eval(c(0.4, 0.2), c(0.1, -0.1)).norm()
+    ref = d.eval(c(0.4, 0.2), c(0.1, -0.1)).norm()
     assert v.norm() < 1e-5 * max(ref, 1.0)
 
 
@@ -161,17 +163,58 @@ def test_dbar_vartheta_dbar_r_vanishes():
                               for j in range(1, 4)})
 
     k = kernels.KernelEvaluator("dbar-r", 3, dbar_r)
-    comp = kernels.kernel_dbar_zeta(kernels.kernel_vartheta_zeta(k))
+    comp = kernels.kernel_derivative(kernels.kernel_vartheta_zeta(k), "dbar", "zeta")
     zeta, z = c(0.7, 0.2, 0.1), c(0.55, 0.1, 0.05)
     v = comp.eval(zeta, z)
     scale = kernels.kernel_vartheta_zeta(k).eval(zeta, z).norm()
     assert v.norm() < 1e-5 * max(scale, 1.0)
 
 
+def _poly(zeta, z):
+    """A scalar polynomial kernel of degree 3 in zeta, z and their conjugates."""
+    zc, wc = np.conj(zeta), np.conj(z)
+    return DoubleForm.scalar(2, zeta[0] ** 2 * zc[1] + 3 * zc[0] ** 2 * z[1]
+                             + z[0] ** 2 * wc[1] * zeta[1] + 2 * wc[0] * z[0] * zc[0])
+
+
+# (op, var) -> (evaluator id prefix, slot of the differential, exact Wirtinger
+# derivatives of _poly: d/dzeta_j, d/dzetabar_j, d/dz_j or d/dzbar_j)
+POLY_DERIVATIVES = {
+    ("dbar", "zeta"): ("dbar_z", "az", lambda zeta, z, zc, wc: (
+        6 * zc[0] * z[1] + 2 * wc[0] * z[0], zeta[0] ** 2)),
+    ("del", "zeta"): ("del_z", "hz", lambda zeta, z, zc, wc: (
+        2 * zeta[0] * zc[1], z[0] ** 2 * wc[1])),
+    ("dbar", "z"): ("dbar_w", "aw", lambda zeta, z, zc, wc: (
+        2 * z[0] * zc[0], z[0] ** 2 * zeta[1])),
+    ("del", "z"): ("del_w", "hw", lambda zeta, z, zc, wc: (
+        2 * z[0] * wc[1] * zeta[1] + 2 * wc[0] * zc[0], 3 * zc[0] ** 2)),
+}
+
+
+@pytest.mark.parametrize("op,var", sorted(POLY_DERIVATIVES))
+def test_kernel_derivative_matches_wirtinger(op, var):
+    prefix, slot, exact = POLY_DERIVATIVES[(op, var)]
+    k = kernels.kernel_derivative(kernels.KernelEvaluator("poly", 2, _poly), op, var)
+    assert k.id == f"{prefix}[poly]"
+    zeta, z = c(0.4 + 0.3j, -0.2 + 0.5j), c(0.1 - 0.2j, 0.3 + 0.1j)
+    want = DoubleForm.zero(2)
+    for j, d in enumerate(exact(zeta, z, np.conj(zeta), np.conj(z)), start=1):
+        want = want + DoubleForm.monomial(2, **{slot: (j,)}, value=d)
+    assert (k.eval(zeta, z) - want).norm() < 1e-9 * want.norm()
+
+
+def test_kernel_derivative_rejects_unknown_operator():
+    k = kernels.KernelEvaluator("poly", 2, _poly)
+    with pytest.raises(KernelError):
+        kernels.kernel_derivative(k, "d", "zeta")
+    with pytest.raises(KernelError):
+        kernels.kernel_derivative(k, "dbar", "w")
+
+
 def test_fd_step_guard():
     const = kernels.KernelEvaluator("c", 2, lambda a, b: DoubleForm.scalar(2, 1.0))
     with pytest.raises(kernels.StepTooLarge):
-        kernels.kernel_dbar_zeta(const).eval(ZETA, ZETA)
+        kernels.kernel_derivative(const, "dbar", "zeta").eval(ZETA, ZETA)
 
 
 # -- adjoint wrapper ---------------------------------------------------------------
