@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels, quad, verify, zalg
-from .domain import make_domain
+from .domain import DomainError, make_domain
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -255,7 +255,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_PASS
     try:
         return args.func(args)
-    except (ValueError, verify.VerifyError, quad.QuadError) as e:
+    except (ValueError, OSError, DomainError, verify.VerifyError, quad.QuadError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -17,8 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forms import Metric
-
 TOL_FRAME = 1e-8
 
 
@@ -36,6 +34,15 @@ class SingularFramePoint(DomainError):
 
 class DiagonalRadiusExceeded(DomainError):
     pass
+
+
+def _dot(a: np.ndarray, b: np.ndarray):
+    """sum_i a_i b_i over the last axis, for one point or rows (a point
+    broadcasts against rows).  A matmul for one point, where einsum's set-up
+    would dominate; einsum for rows."""
+    if a.ndim == 1 and b.ndim == 1:
+        return a @ b
+    return np.einsum("...i,...i->...", a, b)
 
 
 @dataclass(frozen=True)
@@ -86,136 +93,162 @@ class DomainModel:
     critical_points: tuple[tuple[complex, ...], ...] = ()
     bounding_radius: float = 1.6
 
-    def r(self, zeta: np.ndarray) -> float:
+    def __post_init__(self):
+        # the coframe Gram matrix, inverted once
+        object.__setattr__(self, "_levi_inv", np.linalg.inv(self.levi_const))
+
+    def r(self, zeta: np.ndarray):
+        """r at one point (n,), or at each row of (P, n)."""
         zeta = np.asarray(zeta, dtype=complex)
-        quad = float(np.real(zeta.conj() @ (self.levi_const @ zeta)))
-        hol = 2.0 * float(np.real(zeta @ (self.hol2_const @ zeta)))
+        quad = np.real(_dot(zeta.conj(), zeta @ self.levi_const.T))
+        hol = 2.0 * np.real(_dot(zeta, zeta @ self.hol2_const.T))
         return quad + hol + self.r_const
+
+    def _grad_r(self, zeta: np.ndarray):
+        """(dr/dzeta, r) at one point or per row; OutsideDomain unless every
+        point lies in the halo."""
+        zeta = np.asarray(zeta, dtype=complex)
+        r = self.r(zeta)
+        inside = self._in_halo(zeta, r)
+        if not inside.all():
+            bad = np.reshape(zeta, (-1, self.n))[~np.ravel(inside)][0]
+            raise OutsideDomain(f"{bad} outside D union U for {self.name}")
+        return zeta.conj() @ self.levi_const.T + 2.0 * (zeta @ self.hol2_const.T), r
+
+    def grad(self, zeta: np.ndarray) -> np.ndarray:
+        """Holomorphic gradient dr/dzeta_j at one point (n,) or per row (P, n)."""
+        return self._grad_r(zeta)[0]
 
     def jet(self, zeta: np.ndarray, order: int = 4) -> Jet:
         """Exact derivatives of r at zeta, holomorphic type up to `order`."""
         if order > 4:
             raise DomainError("jets supported to order 4")
-        zeta = np.asarray(zeta, dtype=complex)
-        if not self.in_halo(zeta):
-            raise OutsideDomain(f"{zeta} outside D union U for {self.name}")
-        grad = self.levi_const @ zeta.conj() + 2 * (self.hol2_const @ zeta)
-        return Jet(value=self.r(zeta), grad=grad,
-                   levi=self.levi_const.copy(), hol2=2 * self.hol2_const)
+        grad, r = self._grad_r(zeta)
+        return Jet(value=r, grad=grad, levi=self.levi_const.copy(), hol2=2 * self.hol2_const)
 
     # region predicates -------------------------------------------------
 
     def in_domain(self, zeta: np.ndarray, eps: float = 0.0) -> bool:
         return self.r(zeta) < -eps
 
-    def in_halo(self, zeta: np.ndarray) -> bool:
-        """Inside D or its boundary collar (where jets are used)."""
-        z = np.asarray(zeta, dtype=complex)
-        if np.linalg.norm(z) > self.bounding_radius:
-            return False
-        return self.r(z) < self.r_hi
+    def in_halo(self, zeta: np.ndarray):
+        """Inside D or its boundary collar (where jets are used), per point."""
+        zeta = np.asarray(zeta, dtype=complex)
+        return self._in_halo(zeta, self.r(zeta))
+
+    def _in_halo(self, zeta: np.ndarray, r):
+        norm2 = np.real(_dot(zeta.conj(), zeta))
+        return (norm2 <= self.bounding_radius ** 2) & (r < self.r_hi)
 
     def in_collar(self, zeta: np.ndarray) -> bool:
         return self.r_lo < self.r(zeta) < self.r_hi
 
     # geometry -----------------------------------------------------------
 
-    def metric(self, zeta: np.ndarray) -> Metric:
-        return Metric(self.levi_const)
-
-    def gamma(self, zeta: np.ndarray) -> float:
+    def gamma(self, zeta: np.ndarray):
         """Levi-metric length of dr: gamma = |dr|, zero exactly at critical
         points."""
-        grad = self.jet(zeta).grad
-        hinv = np.linalg.inv(self.levi_const)
-        val = np.real(grad.conj() @ (hinv @ grad))
-        return float(np.sqrt(max(val, 0.0)))
+        return self._gamma_of(self.grad(zeta))
+
+    def _gamma_of(self, grad: np.ndarray):
+        return np.sqrt(np.maximum(np.real(self._coframe_dot(grad, grad)), 0.0))
+
+    def _coframe_dot(self, u: np.ndarray, v: np.ndarray):
+        """Levi-metric inner product of coframe coefficient rows."""
+        return _dot(u @ self._levi_inv, v.conj())
 
     def frame(self, zeta: np.ndarray) -> np.ndarray:
-        """Orthonormal coframe rows (omega^1 .. omega^n) with dr = gamma omega^n.
+        """Orthonormal coframe rows (omega^1 .. omega^n) with dr = gamma omega^n,
+        (n, n) at one point or (P, n, n) per row.
 
         Orthonormal for the Levi metric; deterministic Gram-Schmidt over the
-        coordinate coframe in index order.
+        coordinate coframe in index order, skipping a candidate that lies
+        along dr.
         """
-        jet = self.jet(zeta)
-        g = self.gamma(zeta)
-        if g <= TOL_FRAME:
-            raise SingularFramePoint(f"gamma={g:.2e} at {zeta}")
-        gram = np.linalg.inv(self.levi_const)  # coframe inner products
-
-        def dot(u, v):
-            return complex(u @ gram @ v.conj())
-
-        last = jet.grad / g
-        rows = []
-        for j in range(self.n):
-            cand = np.zeros(self.n, dtype=complex)
-            cand[j] = 1.0
-            cand = cand - dot(cand, last) * last
-            for row in rows:
-                cand = cand - dot(cand, row) * row
-            nrm = np.sqrt(abs(dot(cand, cand)))
-            if nrm < 1e-7:
-                continue
-            rows.append(cand / nrm)
-            if len(rows) == self.n - 1:
+        grad = self.grad(zeta)
+        g = self._gamma_of(grad)
+        if (g <= TOL_FRAME).any():
+            raise SingularFramePoint(f"gamma={np.min(g):.2e} in {zeta}")
+        n = self.n
+        last = grad / g[..., None]
+        rows, taken = [], []
+        count = 0
+        for j in range(n):
+            cand = np.zeros_like(grad)
+            cand[..., j] = 1.0
+            for row in (last, *rows):
+                cand = cand - self._coframe_dot(cand, row)[..., None] * row
+            nrm = np.sqrt(np.abs(self._coframe_dot(cand, cand)))
+            take = (nrm >= 1e-7) & (count < n - 1)
+            # a candidate not taken becomes a zero row, which later
+            # candidates are orthogonal to already
+            rows.append(np.divide(cand, nrm[..., None], out=np.zeros_like(cand),
+                                  where=take[..., None]))
+            taken.append(take)
+            count = count + take
+            if (count == n - 1).all():
                 break
-        if len(rows) != self.n - 1:
-            raise SingularFramePoint(f"could not complete frame at {zeta}")
-        rows.append(last)
-        return np.array(rows)
+        if (count < n - 1).any():
+            raise SingularFramePoint(f"could not complete frame in {zeta}")
+        if len(rows) == n:
+            # each point left out one candidate: slot k holds candidate k
+            # while every candidate up to k was taken, candidate k + 1 after
+            kept = np.logical_and.accumulate(np.stack(taken, axis=-1), axis=-1)
+            rows = [np.where(kept[..., k, None], rows[k], rows[k + 1]) for k in range(n - 1)]
+        return np.stack([*rows, last], axis=-2)
 
     def dual_frame(self, zeta: np.ndarray) -> np.ndarray:
         """Columns are the dual (1,0) vector fields L_1..L_n of the coframe."""
         return np.linalg.inv(self.frame(zeta))
 
-    # pairwise data --------------------------------------------------------
+    # pairwise data: zeta one point (n,) or rows (P, n), z one point -----------
 
-    def _check_pair(self, zeta: np.ndarray, z: np.ndarray) -> None:
-        if np.linalg.norm(np.asarray(zeta) - np.asarray(z)) > self.diag_radius:
+    def _pair_diff(self, zeta: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """zeta - z; DiagonalRadiusExceeded unless every pair is within
+        diag_radius."""
+        d = np.asarray(zeta, dtype=complex) - np.asarray(z, dtype=complex)
+        if (np.real(_dot(d.conj(), d)) > self.diag_radius ** 2).any():
             raise DiagonalRadiusExceeded(
                 f"|zeta-z| > {self.diag_radius}; kernels are local to the diagonal")
+        return d
 
-    def rho2(self, zeta: np.ndarray, z: np.ndarray) -> float:
+    def _rho2_of(self, d: np.ndarray):
+        return 2.0 * np.real(_dot(d.conj(), d @ self.levi_const.T))
+
+    def _support(self, grad: np.ndarray, d: np.ndarray):
+        """The support function F from the gradient at its first point and
+        d = first - second point."""
+        return _dot(grad, d) - _dot(d, d @ self.hol2_const.T)
+
+    def rho2(self, zeta: np.ndarray, z: np.ndarray):
         """Symmetrized squared distance 2 <h(m) d, d> with m the midpoint."""
-        zeta = np.asarray(zeta, dtype=complex)
-        z = np.asarray(z, dtype=complex)
-        self._check_pair(zeta, z)
-        d = zeta - z
-        val = np.real(d.conj() @ (self.levi_const @ d))
-        return float(2.0 * val)
+        return self._rho2_of(self._pair_diff(zeta, z))
 
     def d_zeta_rho2(self, zeta: np.ndarray, z: np.ndarray) -> np.ndarray:
         """Coefficients of d_zeta rho^2 along dzeta_j (exact: constant Levi)."""
         d = np.asarray(zeta, dtype=complex) - np.asarray(z, dtype=complex)
-        return 2.0 * (self.levi_const.T @ d.conj())
+        return 2.0 * (d.conj() @ self.levi_const)
 
     def dbar_zeta_rho2(self, zeta: np.ndarray, z: np.ndarray) -> np.ndarray:
         d = np.asarray(zeta, dtype=complex) - np.asarray(z, dtype=complex)
-        return 2.0 * (self.levi_const @ d)
+        return 2.0 * (d @ self.levi_const.T)
 
-    def levi_polynomial_f(self, zeta: np.ndarray, z: np.ndarray) -> complex:
+    def levi_polynomial_f(self, zeta: np.ndarray, z: np.ndarray):
         """Second-order support function, holomorphic in z."""
-        zeta = np.asarray(zeta, dtype=complex)
-        z = np.asarray(z, dtype=complex)
-        self._check_pair(zeta, z)
-        jet = self.jet(zeta)
-        d = zeta - z
-        return complex(jet.grad @ d - 0.5 * (d @ (jet.hol2 @ d)))
+        d = self._pair_diff(zeta, z)
+        return self._support(self.grad(zeta), d)
 
-    def phi(self, zeta: np.ndarray, z: np.ndarray) -> complex:
-        return self.levi_polynomial_f(zeta, z) - self.r(zeta)
+    def phi(self, zeta: np.ndarray, z: np.ndarray):
+        d = self._pair_diff(zeta, z)
+        grad, r = self._grad_r(zeta)
+        return self._support(grad, d) - r
 
-    def phi_star(self, zeta: np.ndarray, z: np.ndarray) -> complex:
-        return complex(np.conj(self.phi(z, zeta)))
+    def phi_star(self, zeta: np.ndarray, z: np.ndarray):
+        return np.conj(self.phi(z, zeta))
 
-    def big_p(self, zeta: np.ndarray, z: np.ndarray) -> float:
+    def big_p(self, zeta: np.ndarray, z: np.ndarray):
         """Extended squared distance rho^2 + 2 (r/gamma)(r*/gamma*)."""
-        g1 = self.gamma(zeta)
-        g2 = self.gamma(z)
-        if g1 <= TOL_FRAME or g2 <= TOL_FRAME:
-            raise SingularFramePoint("gamma vanishes; P undefined")
-        return self.rho2(zeta, z) + 2.0 * (self.r(zeta) / g1) * (self.r(z) / g2)
+        return self.geo_pair(zeta, z).big_p
 
     def xi_patch(self, zeta: np.ndarray) -> float:
         """C^2 cutoff in |r|: 1 for |r| <= delta, 0 for |r| >= 1.5 delta."""
@@ -228,19 +261,27 @@ class DomainModel:
         return 1.0 - (10 * t ** 3 - 15 * t ** 4 + 6 * t ** 5)
 
     def geo_pair(self, zeta: np.ndarray, z: np.ndarray) -> "GeoPair":
-        g1 = self.gamma(zeta)
-        g2 = self.gamma(z)
+        """Every pair scalar, from one gradient and one r per point.
+
+        Raises OutsideDomain, then SingularFramePoint where a gamma vanishes
+        (P is undefined there), then DiagonalRadiusExceeded.
+        """
+        zeta = np.asarray(zeta, dtype=complex)
+        z = np.asarray(z, dtype=complex)
+        grad, r = self._grad_r(zeta)
+        grad_s, r_s = self._grad_r(z)
+        g = self._gamma_of(grad)
+        g_s = self._gamma_of(grad_s)
+        if (np.minimum(g, g_s) <= TOL_FRAME).any():
+            raise SingularFramePoint("gamma vanishes; P undefined")
+        d = self._pair_diff(zeta, z)
+        rho2 = self._rho2_of(d)
+        f = self._support(grad, d)
         return GeoPair(
-            model=self, zeta=np.asarray(zeta, dtype=complex),
-            z=np.asarray(z, dtype=complex),
-            r=self.r(zeta), r_star=self.r(z),
-            grad=self.jet(zeta).grad,
-            gamma=g1, gamma_star=g2,
-            rho2=self.rho2(zeta, z),
-            f=self.levi_polynomial_f(zeta, z),
-            phi=self.phi(zeta, z),
-            phi_star=self.phi_star(zeta, z),
-            big_p=self.big_p(zeta, z) if min(g1, g2) > TOL_FRAME else np.nan,
+            model=self, zeta=zeta, z=z, r=r, r_star=r_s, grad=grad,
+            gamma=g, gamma_star=g_s, rho2=rho2, f=f, phi=f - r,
+            phi_star=np.conj(self._support(grad_s, -d) - r_s),
+            big_p=rho2 + 2.0 * (r / g) * (r_s / g_s),
         )
 
     # boundary helpers ----------------------------------------------------
@@ -252,7 +293,7 @@ class DomainModel:
             val = self.r(z)
             if abs(val) < 1e-14:
                 break
-            grad = self.jet(z).grad          # dr/dzeta
+            grad = self.grad(z)              # dr/dzeta
             gr2 = 2 * np.conj(grad)          # real gradient, complex packing
             denom = float(np.real(gr2.conj() @ gr2))
             if denom < 1e-30:
@@ -261,7 +302,7 @@ class DomainModel:
         return z
 
     def inward_normal(self, zeta: np.ndarray) -> np.ndarray:
-        grad = self.jet(zeta).grad
+        grad = self.grad(zeta)
         v = 2 * np.conj(grad)     # real-gradient direction
         nv = np.linalg.norm(v)
         if nv < 1e-30:
@@ -270,7 +311,7 @@ class DomainModel:
 
     def tangent_direction(self, zeta: np.ndarray, seed: int = 0) -> np.ndarray:
         """A deterministic unit vector tangent to {r = const} at zeta."""
-        grad = self.jet(zeta).grad
+        grad = self.grad(zeta)
         v = 2 * np.conj(grad)
         v = v / np.linalg.norm(v)
         rng = np.random.default_rng(1000 + seed)
@@ -317,7 +358,8 @@ def make_domain(name: str, n: int, delta: float = 0.15) -> DomainModel:
 
 @dataclass(frozen=True)
 class GeoPair:
-    """All geometric data at a point pair."""
+    """All geometric data at a point pair; with rows of zeta, the zeta-side
+    fields and the pair scalars are arrays over the rows."""
 
     model: DomainModel
     zeta: np.ndarray

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from . import forms
-from .domain import DomainModel, SingularFramePoint
+from .domain import DomainModel
 from .forms import ADAPTED, COORD, DoubleForm, conj_form, wedge, wedge_power
 
 
@@ -71,7 +71,7 @@ def alpha(model: DomainModel) -> KernelEvaluator:
         phi = model.phi(zeta, z)
         if abs(phi) < 1e-15:
             raise PoleOnDiagonal(f"Phi = 0 at {zeta}, {z}")
-        grad = model.jet(zeta).grad
+        grad = model.grad(zeta)
         coeffs = {((j,), (), (), ()): xi * grad[j - 1] / phi for j in range(1, n + 1)}
         return DoubleForm(n, coeffs)
 
@@ -163,8 +163,7 @@ def kernel_star_zeta(k: KernelEvaluator) -> KernelEvaluator:
 
 
 def kernel_vartheta_zeta(k: KernelEvaluator) -> KernelEvaluator:
-    """Formal adjoint of dbar in zeta: -*_zeta d_zeta *_zeta, certified by the
-    discrete adjointness suite."""
+    """Formal adjoint of dbar in zeta: -*_zeta d_zeta *_zeta."""
     inner = kernel_derivative(kernel_star_zeta(k), "del", "zeta")
 
     def ev(zeta, z):
@@ -340,11 +339,6 @@ def h_numeric(model: DomainModel, q: int) -> KernelEvaluator:
 # -- printed main terms -----------------------------------------------------------
 
 
-def _dual_frame(model: DomainModel, zeta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    U = model.frame(zeta)
-    return U, np.linalg.inv(U)
-
-
 def lbar_rho2(model: DomainModel, zeta, z, U_inv: np.ndarray) -> np.ndarray:
     """Frame derivatives conj(L_j) rho^2, j = 1..n."""
     db = model.dbar_zeta_rho2(zeta, z)
@@ -357,12 +351,11 @@ def lq_main(model: DomainModel, q: int) -> KernelEvaluator:
     cnq = coefficient_c(n, q)
 
     def ev(zeta, z):
-        Uz, Vz = _dual_frame(model, zeta)
+        Uz = model.frame(zeta)
         Uw = model.frame(z)
-        g = model.gamma(zeta)
-        phib = np.conj(model.phi(zeta, z))
-        P = model.big_p(zeta, z)
-        lb = lbar_rho2(model, zeta, z, Vz)
+        pair = model.geo_pair(zeta, z)
+        g, phib, P = pair.gamma, np.conj(pair.phi), pair.big_p
+        lb = lbar_rho2(model, zeta, z, model.dual_frame(zeta))
         out = DoubleForm.zero(n, frame=(ADAPTED, ADAPTED))
         for mu in range(0, n - q - 1):
             coef = cnq * comb(n - 2 - mu, q) / (phib ** (mu + 1) * P ** (n - mu - 1)) * g
@@ -402,17 +395,15 @@ def g_l(model: DomainModel, q: int, L: tuple[int, ...]) -> KernelEvaluator:
 
     def ev(zeta, z):
         Uz = model.frame(zeta)
-        g = model.gamma(zeta)
-        gs = model.gamma(z)
-        phi = model.phi(zeta, z)
-        P = model.big_p(zeta, z)
+        pair = model.geo_pair(zeta, z)
+        P = pair.big_p
         if n in L:
             const = -(2.0 ** (n - 1)) * factorial(n - 2) / (2 * pi) ** n
             # omega-bar^{nQ} written with n first equals (-1)^{|Q|} sorted order
             val = const * P ** (1 - n) * (-1.0) ** (len(L) - 1)
             out = adapted_monomial(n, az=tuple(sorted(L)), value=val)
         else:
-            s = neumann_tangential_scalar(n, q, g, gs, phi, P)
+            s = neumann_tangential_scalar(n, q, pair.gamma, pair.gamma_star, pair.phi, P)
             out = adapted_monomial(n, az=tuple(sorted(L)), value=cnq * s)
         return forms.change_frame_zeta(out, Uz, COORD)
 
@@ -428,13 +419,11 @@ def h_l_main(model: DomainModel, q: int, L: tuple[int, ...]) -> KernelEvaluator:
     cnq = coefficient_c(n, q)
 
     def ev(zeta, z):
-        Uz, Vz = _dual_frame(model, zeta)
-        g = model.gamma(zeta)
-        gs = model.gamma(z)
-        phi = model.phi(zeta, z)
+        Uz = model.frame(zeta)
+        pair = model.geo_pair(zeta, z)
+        g, gs, phi, P = pair.gamma, pair.gamma_star, pair.phi, pair.big_p
         phib = np.conj(phi)
-        P = model.big_p(zeta, z)
-        lb = lbar_rho2(model, zeta, z, Vz)
+        lb = lbar_rho2(model, zeta, z, model.dual_frame(zeta))
         out = DoubleForm.zero(n, frame=(ADAPTED, COORD))
         if n in L:
             Q = tuple(j for j in L if j != n)
@@ -511,12 +500,9 @@ def nq(model: DomainModel, q: int) -> KernelEvaluator:
     gam = gamma0q(model, q)
 
     def ev(zeta, z):
-        g = model.gamma(zeta)
-        gs = model.gamma(z)
-        if min(g, gs) <= 1e-8:
-            raise SingularFramePoint("frame undefined")
-        P = model.big_p(zeta, z)
-        s = neumann_tangential_scalar(n, q, g, gs, model.phi(zeta, z), P)
+        pair = model.geo_pair(zeta, z)
+        P = pair.big_p
+        s = neumann_tangential_scalar(n, q, pair.gamma, pair.gamma_star, pair.phi, P)
         tau, nu = tau_nu_split(model, zeta, z)
         body = wedge_power(tau, q).scale(pref * s)
         body = body + wedge(wedge_power(tau, q - 1), nu).scale(nu_const * P ** (1 - n))

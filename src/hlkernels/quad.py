@@ -9,6 +9,7 @@ needed and first-order quadrature suffices for the rate-based checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, product
 from math import factorial, pi
 
@@ -41,10 +42,12 @@ class Grid:
     def __len__(self) -> int:
         return len(self.centers)
 
+    @cached_property
     def gamma_values(self) -> np.ndarray:
-        grads = (self.centers.conj()
-                 + 2.0 * (self.centers @ self.model.hol2_const.T))
-        return np.linalg.norm(grads, axis=1)
+        """gamma at each center, computed once per grid (read-only)."""
+        gam = self.model.gamma(self.centers)
+        gam.flags.writeable = False
+        return gam
 
     def total_volume(self) -> float:
         return self.cell_volume * len(self.centers)
@@ -52,6 +55,7 @@ class Grid:
 
 GRID_BOX = 1.02     # half-width of the lattice box; both models fit in it
 BLOCK_NODES = 4096  # nodes per block of batched kernel evaluation and contraction
+TARGET_DRAWS = 10000  # candidate points drawn for the ratio-table targets
 
 
 def make_grid(model: DomainModel, h: float, eps: float | None = None) -> Grid:
@@ -73,19 +77,13 @@ def make_grid(model: DomainModel, h: float, eps: float | None = None) -> Grid:
         reals = [x0, *rest]
         slab = np.stack([np.broadcast_to(reals[2 * j] + 1j * reals[2 * j + 1], shape).ravel()
                          for j in range(n)], axis=1)
-        slabs.append(slab[_r_values(model, slab) < -eps])
+        slabs.append(slab[model.r(slab) < -eps])
     centers = np.concatenate(slabs)
     if len(centers) == 0:
         raise QuadError("empty grid")
     det = float(np.real(np.linalg.det(model.levi_const)))
     vol = (2.0 ** n) * det * h ** (2 * n)
     return Grid(model, h, eps, centers, vol)
-
-
-def _r_values(model: DomainModel, centers: np.ndarray) -> np.ndarray:
-    quad = np.real(np.einsum("ci,ci->c", centers.conj(), centers @ model.levi_const.T))
-    hol = 2.0 * np.real(np.einsum("ci,ci->c", centers, centers @ model.hol2_const.T))
-    return quad + hol + model.r_const
 
 
 @dataclass
@@ -117,7 +115,7 @@ def weighted_lp_norm(f: FormField, a: float, p: float) -> float:
     """(sum |gamma^a f|^p vol)^(1/p) with the pointwise metric norm; p=inf max."""
     if len(f.grid) == 0:
         raise QuadError("empty grid")
-    w = f.grid.gamma_values() ** a * f.norm_pointwise()
+    w = f.grid.gamma_values ** a * f.norm_pointwise()
     if p == np.inf:
         return float(np.max(w))
     if p < 1:
@@ -156,7 +154,7 @@ def _split_nodes(grid: Grid, z: np.ndarray):
     sub = (base[:, None, :] + offs[None, :, :]).reshape(-1, 2 * n)
     sub_c = sub[:, 0::2] + 1j * sub[:, 1::2]
     dist = np.linalg.norm(sub_c - z[None, :], axis=1)
-    rvals = _r_values(grid.model, sub_c)
+    rvals = grid.model.r(sub_c)
     keep = (dist >= h / 2) & (rvals < -grid.eps)
     sub_c = sub_c[keep]
     sub_vol = np.full(len(sub_c), grid.cell_volume / (2 ** (2 * n)))
@@ -251,31 +249,9 @@ def pair_operator(kernel: KernelEvaluator, f_func, grid: Grid, z: np.ndarray,
 
 
 def batch_frames(model: DomainModel, pts: np.ndarray) -> np.ndarray:
-    """Vectorized orthonormal coframes, rows omega^1..omega^n, identity Levi."""
-    n = model.n
-    grads = pts.conj() + 2 * (pts @ model.hol2_const.T)
-    gam = np.linalg.norm(grads, axis=1)
-    U = np.zeros((len(pts), n, n), dtype=complex)
-    last = grads / gam[:, None]
-    rows = []
-    for j in range(n):
-        cand = np.zeros((len(pts), n), dtype=complex)
-        cand[:, j] = 1.0
-        cand -= (cand.conj() * last).sum(axis=1)[:, None].conj() * last
-        for row in rows:
-            cand -= (cand.conj() * row).sum(axis=1)[:, None].conj() * row
-        nrm = np.linalg.norm(cand, axis=1)
-        if len(rows) < n - 1:
-            ok = nrm > 1e-7
-            if not np.all(ok):
-                raise QuadError("frame degeneracy in batch (near-critical cell)")
-            rows.append(cand / nrm[:, None])
-        if len(rows) == n - 1:
-            break
-    for j, row in enumerate(rows):
-        U[:, j, :] = row
-    U[:, n - 1, :] = last
-    return U
+    """Coframes at the rows of pts, (P, n, n): `DomainModel.frame`.  Kept
+    under this name only because the benchmark's tracer looks it up."""
+    return model.frame(pts)
 
 
 def batch_nq(model: DomainModel, q: int):
@@ -292,32 +268,24 @@ def batch_nq(model: DomainModel, q: int):
         # in blocks of nodes, so the temporaries below (a dozen arrays of
         # nodes x n x n) have one size whatever the number of nodes
         z = np.asarray(z, dtype=complex)
-        gz = model.gamma(z)
-        rz = model.r(z)
         Uz = model.frame(z)
         out = np.empty((len(nodes), n, n), dtype=complex)
         for lo in range(0, len(nodes), BLOCK_NODES):
-            out[lo:lo + BLOCK_NODES] = block(nodes[lo:lo + BLOCK_NODES], z, gz, rz, Uz)
+            out[lo:lo + BLOCK_NODES] = block(nodes[lo:lo + BLOCK_NODES], z, Uz)
         return out
 
-    def block(nodes, z, gz, rz, Uz):
-        grads = nodes.conj() + 2 * (nodes @ model.hol2_const.T)
-        g = np.linalg.norm(grads, axis=1)
-        rv = _r_values(model, nodes)
-        d = nodes - z[None, :]
-        rho2 = 2.0 * np.sum(np.abs(d) ** 2, axis=1)
-        F = np.einsum("ci,ci->c", grads - d @ model.hol2_const.T, d)
-        phi = F - rv
-        P = rho2 + 2.0 * (rv / g) * (rz / gz)
-        s = kernels.neumann_tangential_scalar(n, q, g, gz, phi, P)
-        Uc = batch_frames(model, nodes)
+    def block(nodes, z, Uz):
+        pair = model.geo_pair(nodes, z)
+        P = pair.big_p
+        s = kernels.neumann_tangential_scalar(n, q, pair.gamma, pair.gamma_star, pair.phi, P)
+        Uc = model.frame(nodes)
         A = (Uc.reshape(-1, n) @ Uz.conj().T).reshape(Uc.shape)   # M in adapted frames
         # the normal weight on the nu part of M, the tangential weight on the
         # tau block
         body_ad = nu_const * (P ** (1 - n))[:, None, None] * A
         body_ad[:, : n - 1, : n - 1] = (pref * s)[:, None, None] * A[:, : n - 1, : n - 1]
         body = np.einsum("cji,cjk,ka->cia", Uc.conj(), body_ad, Uz, optimize=True)
-        gamma_part = gam_const * (rho2 ** (1 - n))[:, None, None] * np.eye(n)[None]
+        gamma_part = gam_const * (pair.rho2 ** (1 - n))[:, None, None] * np.eye(n)[None]
         return body + gamma_part
 
     return ev
@@ -407,14 +375,12 @@ def ratio_table(model: DomainModel, kernel_name: str, q: int,
     coarsest grid, so the ratios compare like for like across refinements.
     """
     n = model.n
-    rng = np.random.default_rng(seed)
-    targets = []
-    while len(targets) < n_targets:
-        cand = rng.uniform(-0.45, 0.45, 2 * n)
-        zc = cand[0::2] + 1j * cand[1::2]
-        if model.r(zc) < -0.3:
-            targets.append(zc)
-    targets = np.asarray(targets)
+    cand = np.random.default_rng(seed).uniform(-0.45, 0.45, (TARGET_DRAWS, 2 * n))
+    cand = cand[:, 0::2] + 1j * cand[:, 1::2]
+    targets = cand[model.r(cand) < -0.3][:n_targets]
+    if len(targets) < n_targets:
+        raise QuadError(f"{model.name}: fewer than {n_targets} targets with r < -0.3 "
+                        f"in {TARGET_DRAWS} draws from the box |Re|, |Im| < 0.45")
     if kernel_name == "E":
         batch = batch_isotropic_model(model)
         kq = 0
@@ -428,7 +394,7 @@ def ratio_table(model: DomainModel, kernel_name: str, q: int,
     keys = anti_keys(n, kq)
     fields = [random_test_field(model, kq, seed=seed + 100 * trial)
               for trial in range(trials)]
-    gam_t = np.array([model.gamma(z) for z in targets])
+    gam_t = model.gamma(targets)
     rows: list[RatioRow] = []
     for res in resolutions:
         h = 2.0 * GRID_BOX / res

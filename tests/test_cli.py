@@ -149,3 +149,32 @@ def test_eval_q_out_of_range(tmp_path, capsys, kernel, q):
                 "--q", str(q), "--points", str(pts), "--out", str(tmp_path / "o")])
     _one_line_usage_error(code, capsys)
     assert not (tmp_path / "o").exists()
+
+
+def test_eval_missing_points_file(tmp_path, capsys):
+    code = run(["eval", "--kernel", "Nq", "--n", "3", "--points",
+                str(tmp_path / "none.csv"), "--out", str(tmp_path / "o")])
+    _one_line_usage_error(code, capsys)
+
+
+def test_missing_config_file(tmp_path, capsys):
+    code = run(["--config", str(tmp_path / "none.json"), "suite", "--suites", "morse"])
+    _one_line_usage_error(code, capsys)
+
+
+def test_ratio_on_pinched_is_a_usage_error(tmp_path, capsys):
+    # no point of the target box has r < -0.3 on pinched
+    code = run(["ratio", "--domain", "pinched", "--kernel", "Nq", "--n", "3", "--q", "1",
+                "--trials", "1", "--resolutions", "4", "--out", str(tmp_path / "o")])
+    _one_line_usage_error(code, capsys)
+
+
+def test_domain_error_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    from hlkernels import domain, quad
+
+    def too_far(*args, **kwargs):
+        raise domain.DiagonalRadiusExceeded("|zeta-z| > 0.75")
+
+    monkeypatch.setattr(quad, "ratio_table", too_far)
+    code = run(["ratio", "--kernel", "Nq", "--out", str(tmp_path / "o")])
+    _one_line_usage_error(code, capsys)

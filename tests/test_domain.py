@@ -203,11 +203,28 @@ def test_levi_positive_on_collar_samples():
 
 
 def test_geo_pair_bundle():
-    g = BALL2.geo_pair(c(1.0, 0.0), c(0.9, 0.0))
+    zeta, z = c(1.0, 0.0), c(0.9, 0.0)
+    g = BALL2.geo_pair(zeta, z)
     assert g.phi == pytest.approx(0.1)
     assert g.rho2 == pytest.approx(0.02)
     assert g.big_p == pytest.approx(g.rho2 + 2 * (g.r / g.gamma) * (g.r_star / g.gamma_star))
     assert g.phi == pytest.approx(g.f - g.r)
+    # the single-scalar methods give the bundle's numbers
+    assert (g.big_p, g.phi, g.phi_star, g.rho2) == (
+        BALL2.big_p(zeta, z), BALL2.phi(zeta, z), BALL2.phi_star(zeta, z),
+        BALL2.rho2(zeta, z))
+    assert (g.gamma, g.gamma_star, g.r, g.r_star) == (
+        BALL2.gamma(zeta), BALL2.gamma(z), BALL2.r(zeta), BALL2.r(z))
+
+
+def test_geo_pair_singular_gamma_raises():
+    # P is undefined where a gamma vanishes, for one point and for rows
+    with pytest.raises(SingularFramePoint):
+        PIN2.geo_pair(c(0.0, 0.0), c(0.1, 0.0))
+    with pytest.raises(SingularFramePoint):
+        PIN2.geo_pair(c(0.1, 0.0), c(0.0, 0.0))
+    with pytest.raises(SingularFramePoint):
+        PIN2.geo_pair(np.array([c(0.1, 0.0), c(0.0, 0.0)]), c(0.1, 0.1))
 
 
 def test_no_critical_points_off_boundary_sampled():
@@ -221,3 +238,117 @@ def test_no_critical_points_off_boundary_sampled():
                 continue
             count += 1
             assert model.gamma(p) > 1e-3
+
+
+# -- point arrays: rows (P, n) against a loop of single-point calls ------------------
+
+POINT_METHODS = ("r", "grad", "in_halo", "gamma", "frame", "dual_frame")
+PAIR_METHODS = ("rho2", "d_zeta_rho2", "dbar_zeta_rho2", "levi_polynomial_f", "phi",
+                "phi_star", "big_p")
+GEO_FIELDS = ("r", "r_star", "grad", "gamma", "gamma_star", "rho2", "f", "phi",
+              "phi_star", "big_p")
+ROW_MODELS = [ball(2), ball(3), pinched(2), pinched(3)]
+
+
+def _interior_rows(model, seed, count=12):
+    """A target z and seeded interior points within 0.6 of it (inside the
+    diagonal radius of both models), with gamma well away from 0."""
+    rng = np.random.default_rng(seed)
+    z = c(0.35 + 0.1j, -0.2j, *([0.1] * (model.n - 2)))
+    rows = []
+    while len(rows) < count:
+        v = rng.standard_normal(model.n) + 1j * rng.standard_normal(model.n)
+        p = z + v / np.linalg.norm(v) * rng.uniform(0.05, 0.6)
+        if model.r(p) < -0.05 and model.gamma(p) > 0.05:
+            rows.append(p)
+    return np.array(rows), z
+
+
+def _outcome(fn):
+    try:
+        return fn(), None
+    except domain.DomainError as e:
+        return None, type(e)
+
+
+def _check_rows_against_loop(rows_call, point_call, pts):
+    got, got_exc = _outcome(lambda: rows_call(pts))
+    loop = [_outcome(lambda p=p: point_call(p)) for p in pts]
+    want_exc = next((exc for _, exc in loop if exc is not None), None)
+    assert got_exc is want_exc
+    if want_exc is None:
+        want = np.array([v for v, _ in loop])
+        if want.dtype == bool:
+            assert np.array_equal(got, want)
+        else:
+            _assert_rows_close(got, want)
+
+
+def _assert_rows_close(got, want, rtol=1e-13):
+    """Relative error of each point's value (a scalar, vector or frame) in
+    the max norm; frames hold roundoff-sized entries that an elementwise rtol
+    would measure against themselves."""
+    got = np.broadcast_to(got, want.shape).reshape(len(want), -1)
+    want = want.reshape(len(want), -1)
+    err = np.abs(got - want).max(axis=1)
+    assert np.all(err <= rtol * np.abs(want).max(axis=1)), err
+
+
+@pytest.mark.parametrize("model", ROW_MODELS, ids=lambda m: f"{m.name}{m.n}")
+@pytest.mark.parametrize("method", POINT_METHODS + PAIR_METHODS)
+def test_rows_equal_pointwise(model, method):
+    pts, z = _interior_rows(model, 17)
+    fn = getattr(model, method)
+    if method in POINT_METHODS:
+        _check_rows_against_loop(fn, fn, pts)
+    else:
+        _check_rows_against_loop(lambda p: fn(p, z), lambda p: fn(p, z), pts)
+
+
+@pytest.mark.parametrize("model", ROW_MODELS, ids=lambda m: f"{m.name}{m.n}")
+@pytest.mark.parametrize("method", POINT_METHODS + PAIR_METHODS + ("geo_pair",))
+def test_rows_with_a_point_outside_the_halo(model, method):
+    # the same exception as the loop; methods without a halo check still agree
+    pts, z = _interior_rows(model, 23, count=5)
+    outside = z.copy()
+    if model.name == "ball":
+        outside[0] += 0.9
+    else:
+        # within the diagonal radius of z, so the pair methods meet the halo
+        outside[-1] += -0.6j if model.n == 2 else 0.7
+    assert not model.in_halo(outside)
+    pts = np.concatenate([pts[:2], outside[None], pts[2:]])
+    fn = getattr(model, method)
+    if method in POINT_METHODS:
+        _check_rows_against_loop(fn, fn, pts)
+    else:
+        _check_rows_against_loop(lambda p: fn(p, z), lambda p: fn(p, z), pts)
+
+
+@pytest.mark.parametrize("model", ROW_MODELS, ids=lambda m: f"{m.name}{m.n}")
+def test_geo_pair_rows_equal_pointwise(model):
+    pts, z = _interior_rows(model, 29)
+    rows = model.geo_pair(pts, z)
+    loop = [model.geo_pair(p, z) for p in pts]
+    for name in GEO_FIELDS:
+        _assert_rows_close(getattr(rows, name), np.array([getattr(g, name) for g in loop]))
+
+
+def test_pair_rows_beyond_the_diagonal_radius_raise():
+    z = c(0.6, 0.0, 0.0)
+    pts = np.array([c(0.5, 0.1, 0.0), c(-0.6, 0.1j, 0.05)])
+    model = pinched(3)
+    for method in ("rho2", "levi_polynomial_f", "phi", "phi_star", "big_p", "geo_pair"):
+        with pytest.raises(DiagonalRadiusExceeded):
+            getattr(model, method)(pts, z)
+
+
+def test_frame_skips_a_candidate_along_the_conormal():
+    # at (0.5, 0, 0) on the ball dr is along dzeta_1, so the frame is built
+    # from dzeta_2 and dzeta_3, for one point and inside rows
+    p = c(0.5, 0.0, 0.0)
+    U = BALL3.frame(p)
+    assert np.allclose(U, [[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+    rows = BALL3.frame(np.array([c(0.1, 0.2, 0.3j), p]))
+    np.testing.assert_array_equal(rows[1], U)
+    np.testing.assert_array_equal(rows[0], BALL3.frame(c(0.1, 0.2, 0.3j)))

@@ -126,6 +126,8 @@ def test_batch_nq_matches_pointwise():
         zc = cand[0::2] + 1j * cand[1::2]
         if BALL3.r(zc) < -0.1:
             pts.append(zc)
+    # dr is along dzeta_1 here, so the frame skips that coordinate candidate
+    pts.append(np.array([0.5, 0, 0], dtype=complex))
     pts = np.asarray(pts)
     z = np.array([0.3 + 0.1j, -0.2, 0.15j])
     K = batch(pts, z)
@@ -136,6 +138,18 @@ def test_batch_nq_matches_pointwise():
             for a in range(3):
                 assert K[i, b, a] == pytest.approx(
                     v.component(((), (b + 1,), (a + 1,), ())), abs=1e-12)
+
+
+def test_batch_nq_and_pointwise_raise_alike_beyond_the_diagonal_radius():
+    # both points are interior to pinched(3), 1.31 apart: past its radius 0.75
+    model = domain.pinched(3)
+    zeta = np.array([0.7 + 0.05j, 0.1, 0.1j])
+    z = np.array([-0.6 + 0.1j, 0.1j, 0.05])
+    assert model.r(zeta) < 0 and model.r(z) < 0
+    with pytest.raises(domain.DiagonalRadiusExceeded):
+        kernels.nq(model, 1).eval(zeta, z)
+    with pytest.raises(domain.DiagonalRadiusExceeded):
+        batch_nq(model, 1)(zeta[None], z)
 
 
 def test_adjointness_residual_near_machine_zero():
@@ -216,7 +230,7 @@ def test_make_grid_matches_dense_lattice():
         reals = np.stack(np.meshgrid(*([axis] * (2 * model.n)), indexing="ij"),
                          axis=-1).reshape(-1, 2 * model.n)
         dense = reals[:, 0::2] + 1j * reals[:, 1::2]
-        want = dense[quad._r_values(model, dense) < -g.eps]
+        want = dense[model.r(dense) < -g.eps]
         assert np.array_equal(g.centers, want)
 
 
