@@ -2,7 +2,8 @@
 
 Every evaluator is a pure function (zeta, z) -> DoubleForm in the coordinate
 frame.  Exact jets are used inside the scalar building blocks (rho^2, the
-support function, the extended distance); kernel-level dbar / del / vartheta
+support function, the extended distance) and for the dbar factors of alpha
+and beta, so C_q and K_q are closed-form; kernel-level dbar / del / vartheta
 operators use central finite differences with one Richardson level, so the
 error orders are measurable and controlled per path.
 """
@@ -57,7 +58,64 @@ def adjoint_kernel(k: KernelEvaluator) -> KernelEvaluator:
     return KernelEvaluator(f"{k.id}*", k.n, ev, k.q, k.claimed_type)
 
 
-# -- scalar building blocks ----------------------------------------------------
+# -- scalar building blocks: closed-form jets ------------------------------------
+#
+# Both models are quadratic (constant Levi matrix H and holomorphic Hessian),
+# so alpha, beta and their dbar derivatives have short closed forms.  A jet
+# returns the coefficients c_j of a (1,0) zeta-form sum_j c_j dzeta_j and the
+# matrix D[j, k] = d c_j / dzetabar_k.
+
+
+def alpha_jet(model: DomainModel, zeta, z) -> tuple[np.ndarray, np.ndarray]:
+    """Jet of alpha = xi dr / Phi; zero where xi = 0.
+
+    With d = zeta - z: d(dr/dzeta_j)/dzetabar_k = H[j, k] and
+    dPhi/dzetabar_k = (d^T H)_k - conj(dr/dzeta_k).  Phi depends on z only
+    through d, holomorphically, so dbar_z alpha = 0.
+    """
+    n = model.n
+    xi, dxi_dr = model.xi_jet(zeta)
+    if xi == 0.0:
+        return np.zeros(n, dtype=complex), np.zeros((n, n), dtype=complex)
+    phi = model.phi(zeta, z)
+    if abs(phi) < 1e-15:
+        raise PoleOnDiagonal(f"Phi = 0 at {zeta}, {z}")
+    grad = model.grad(zeta)
+    a = xi * grad / phi
+    dphi = (zeta - z) @ model.levi_const - grad.conj()
+    da = ((np.outer(grad, dxi_dr * grad.conj()) + xi * model.levi_const) / phi
+          - np.outer(a, dphi) / phi)
+    return a, da
+
+
+def beta_jet(model: DomainModel, zeta, z) -> tuple[np.ndarray, np.ndarray]:
+    """Jet of beta = d_zeta rho^2 / rho^2.  rho^2 depends on zeta - z, so the
+    dzbar_k derivatives are -D[:, k]."""
+    r2 = model.rho2(zeta, z)
+    if r2 < 1e-30:
+        raise PoleOnDiagonal("beta pole: zeta = z")
+    b = model.d_zeta_rho2(zeta, z) / r2
+    db = 2.0 * model.levi_const.T / r2 - np.outer(b, model.dbar_zeta_rho2(zeta, z)) / r2
+    return b, db
+
+
+def _one_form(n: int, c: np.ndarray) -> DoubleForm:
+    """sum_j c_j dzeta_j."""
+    return DoubleForm(n, {((j + 1,), (), (), ()): c[j] for j in range(n)})
+
+
+def _differential(n: int, slot: str, parts) -> DoubleForm:
+    """sum_k dv_k ^ parts[k], dv_k the coordinate differential in the
+    DoubleForm.monomial slot `slot`; forms.wedge holds the sign convention."""
+    out = DoubleForm.zero(n)
+    for k, part in enumerate(parts, start=1):
+        out = out + wedge(DoubleForm.monomial(n, **{slot: (k,)}), part)
+    return out
+
+
+def _jet_dbar(n: int, slot: str, d: np.ndarray) -> DoubleForm:
+    """sum_k dv_k ^ sum_j d[j, k] dzeta_j: the dbar of a jet's (1,0) form."""
+    return _differential(n, slot, [_one_form(n, d[:, k]) for k in range(n)])
 
 
 def alpha(model: DomainModel) -> KernelEvaluator:
@@ -65,15 +123,7 @@ def alpha(model: DomainModel) -> KernelEvaluator:
     n = model.n
 
     def ev(zeta, z):
-        xi = model.xi_patch(zeta)
-        if xi == 0.0:
-            return DoubleForm.zero(n)
-        phi = model.phi(zeta, z)
-        if abs(phi) < 1e-15:
-            raise PoleOnDiagonal(f"Phi = 0 at {zeta}, {z}")
-        grad = model.grad(zeta)
-        coeffs = {((j,), (), (), ()): xi * grad[j - 1] / phi for j in range(1, n + 1)}
-        return DoubleForm(n, coeffs)
+        return _one_form(n, alpha_jet(model, zeta, z)[0])
 
     return KernelEvaluator("alpha", n, ev)
 
@@ -83,12 +133,7 @@ def beta(model: DomainModel) -> KernelEvaluator:
     n = model.n
 
     def ev(zeta, z):
-        r2 = model.rho2(zeta, z)
-        if r2 < 1e-30:
-            raise PoleOnDiagonal("beta pole: zeta = z")
-        grad = model.d_zeta_rho2(zeta, z)
-        coeffs = {((j,), (), (), ()): grad[j - 1] / r2 for j in range(1, n + 1)}
-        return DoubleForm(n, coeffs)
+        return _one_form(n, beta_jet(model, zeta, z)[0])
 
     return KernelEvaluator("beta", n, ev)
 
@@ -142,15 +187,15 @@ def kernel_derivative(k: KernelEvaluator, op: str, var: str) -> KernelEvaluator:
     def ev(zeta, z):
         h = _fd_scale(zeta, z)
         base, other = (zeta, z) if var == "zeta" else (z, zeta)
-        out = DoubleForm.zero(n)
+        parts = []
         for j in range(n):
             dx = _directional(k.eval, base, other, j, 1.0, h, var)
             dy = _directional(k.eval, base, other, j, 1.0j, h, var).scale(1.0j)
             der = (dx + dy if op == "dbar" else dx - dy).scale(0.5)
             if der.frame != forms.COORD_FRAME:
                 raise KernelError("derivative operators require coordinate-frame values")
-            out = out + wedge(DoubleForm.monomial(n, **{slot: (j + 1,)}), der)
-        return out
+            parts.append(der)
+        return _differential(n, slot, parts)
 
     return KernelEvaluator(f"{prefix}[{k.id}]", n, ev, k.q)
 
@@ -196,35 +241,27 @@ def coefficient_c(n: int, q: int) -> float:
 
 def cq(model: DomainModel, q: int) -> KernelEvaluator:
     """The double sum over a_{q mu nu} of wedge products of alpha, beta and
-    their dbar factors (finite-difference derivatives)."""
+    their dbar factors, from the closed-form jets.  dbar_z alpha = 0, so only
+    the nu = 0 terms are nonzero."""
     n = model.n
     if not 0 <= q <= n - 2:
         raise KernelError(f"q={q} out of range for n={n}")
-    al = alpha(model)
-    be = beta(model)
-    d_al = kernel_derivative(al, "dbar", "zeta")
-    d_be = kernel_derivative(be, "dbar", "zeta")
-    dz_al = kernel_derivative(al, "dbar", "z")
-    dz_be = kernel_derivative(be, "dbar", "z")
 
     def ev(zeta, z):
-        av = al.eval(zeta, z)
+        a, da = alpha_jet(model, zeta, z)
+        av = _one_form(n, a)
         if av.is_zero():
             return DoubleForm.zero(n)
-        bv = be.eval(zeta, z)
-        dav = d_al.eval(zeta, z)
-        dbv = d_be.eval(zeta, z)
-        dzav = dz_al.eval(zeta, z)
-        dzbv = dz_be.eval(zeta, z)
-        base = wedge(av, bv)
+        b, db = beta_jet(model, zeta, z)
+        dav = _jet_dbar(n, "az", da)
+        dbv = _jet_dbar(n, "az", db)
+        tail = wedge_power(_jet_dbar(n, "aw", -db), q)
+        base = wedge(av, _one_form(n, b))
         out = DoubleForm.zero(n)
         for mu in range(0, n - q - 1):
-            pa = wedge(base, wedge_power(dav, mu))
-            pa = wedge(pa, wedge_power(dbv, n - q - mu - 2))
-            for nu in range(0, q + 1):
-                term = wedge(pa, wedge_power(dzav, nu))
-                term = wedge(term, wedge_power(dzbv, q - nu))
-                out = out + term.scale(coefficient_a(n, q, mu, nu))
+            term = wedge(base, wedge_power(dav, mu))
+            term = wedge(term, wedge_power(dbv, n - q - mu - 2))
+            out = out + wedge(term, tail).scale(coefficient_a(n, q, mu, 0))
         return out
 
     return KernelEvaluator(f"Cq[q={q}]", n, ev, q)
@@ -242,23 +279,19 @@ def lq(model: DomainModel, q: int) -> KernelEvaluator:
 
 
 def kq(model: DomainModel, q: int) -> KernelEvaluator:
-    """Cauchy-Fantappie type kernel built from alpha alone."""
+    """Cauchy-Fantappie type kernel built from alpha alone.  It carries
+    (dbar_z alpha)^q = 0, so it vanishes for q >= 1."""
     n = model.n
     if not 0 <= q <= n - 1:
         raise KernelError(f"q={q} out of range for n={n}")
-    al = alpha(model)
-    d_al = kernel_derivative(al, "dbar", "zeta")
-    dz_al = kernel_derivative(al, "dbar", "z")
     const = ((-1.0) ** (q * (q - 1) // 2)) * comb(n - 1, q) * (1.0 / (2j * pi)) ** n
 
     def ev(zeta, z):
-        av = al.eval(zeta, z)
-        if av.is_zero():
+        a, da = alpha_jet(model, zeta, z)
+        av = _one_form(n, a)
+        if av.is_zero() or q:
             return DoubleForm.zero(n)
-        out = wedge(av, wedge_power(d_al.eval(zeta, z), n - q - 1))
-        if q:
-            out = wedge(out, wedge_power(dz_al.eval(zeta, z), q))
-        return out.scale(const)
+        return wedge(av, wedge_power(_jet_dbar(n, "az", da), n - 1)).scale(const)
 
     return KernelEvaluator(f"Kq[q={q}]", n, ev, q)
 
@@ -355,7 +388,7 @@ def lq_main(model: DomainModel, q: int) -> KernelEvaluator:
         Uw = model.frame(z)
         pair = model.geo_pair(zeta, z)
         g, phib, P = pair.gamma, np.conj(pair.phi), pair.big_p
-        lb = lbar_rho2(model, zeta, z, model.dual_frame(zeta))
+        lb = lbar_rho2(model, zeta, z, np.linalg.inv(Uz))
         out = DoubleForm.zero(n, frame=(ADAPTED, ADAPTED))
         for mu in range(0, n - q - 1):
             coef = cnq * comb(n - 2 - mu, q) / (phib ** (mu + 1) * P ** (n - mu - 1)) * g
@@ -423,7 +456,7 @@ def h_l_main(model: DomainModel, q: int, L: tuple[int, ...]) -> KernelEvaluator:
         pair = model.geo_pair(zeta, z)
         g, gs, phi, P = pair.gamma, pair.gamma_star, pair.phi, pair.big_p
         phib = np.conj(phi)
-        lb = lbar_rho2(model, zeta, z, model.dual_frame(zeta))
+        lb = lbar_rho2(model, zeta, z, np.linalg.inv(Uz))
         out = DoubleForm.zero(n, frame=(ADAPTED, COORD))
         if n in L:
             Q = tuple(j for j in L if j != n)
@@ -460,13 +493,13 @@ def h_l_main(model: DomainModel, q: int, L: tuple[int, ...]) -> KernelEvaluator:
 # -- principal Neumann kernel -----------------------------------------------------
 
 
-def tau_nu_split(model: DomainModel, zeta, z) -> tuple[DoubleForm, DoubleForm]:
+def tau_nu_split(model: DomainModel, zeta, z, Uz: np.ndarray,
+                 Uw: np.ndarray) -> tuple[DoubleForm, DoubleForm]:
     """Split -(1/2) dbar_zeta d_z rho^2 into the components without (tau) and
-    with (nu) the conormal frame label in either slot; both in adapted frames."""
+    with (nu) the conormal frame label in either slot; both in adapted frames.
+    Uz and Uw are the coframes at zeta and z."""
     n = model.n
     m = mixed_rho2_form(model, zeta, z)
-    Uz = model.frame(zeta)
-    Uw = model.frame(z)
     mad = forms.change_frame_z(forms.change_frame_zeta(m, Uz, ADAPTED), Uw, ADAPTED)
     nu = mad.filter_keys(lambda k: n in k[1] or n in k[2])
     tau = mad - nu
@@ -503,11 +536,11 @@ def nq(model: DomainModel, q: int) -> KernelEvaluator:
         pair = model.geo_pair(zeta, z)
         P = pair.big_p
         s = neumann_tangential_scalar(n, q, pair.gamma, pair.gamma_star, pair.phi, P)
-        tau, nu = tau_nu_split(model, zeta, z)
-        body = wedge_power(tau, q).scale(pref * s)
-        body = body + wedge(wedge_power(tau, q - 1), nu).scale(nu_const * P ** (1 - n))
         Uz = model.frame(zeta)
         Uw = model.frame(z)
+        tau, nu = tau_nu_split(model, zeta, z, Uz, Uw)
+        body = wedge_power(tau, q).scale(pref * s)
+        body = body + wedge(wedge_power(tau, q - 1), nu).scale(nu_const * P ** (1 - n))
         body = forms.change_frame_z(forms.change_frame_zeta(body, Uz, COORD), Uw, COORD)
         return body + gam.eval(zeta, z)
 

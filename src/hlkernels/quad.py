@@ -284,7 +284,10 @@ def batch_nq(model: DomainModel, q: int):
         # tau block
         body_ad = nu_const * (P ** (1 - n))[:, None, None] * A
         body_ad[:, : n - 1, : n - 1] = (pref * s)[:, None, None] * A[:, : n - 1, : n - 1]
-        body = np.einsum("cji,cjk,ka->cia", Uc.conj(), body_ad, Uz, optimize=True)
+        # the two per-node factors first: the path einsum's optimizer picks
+        # for every n and block size, given here so no block searches for it
+        body = np.einsum("cji,cjk,ka->cia", Uc.conj(), body_ad, Uz,
+                         optimize=["einsum_path", (0, 1), (0, 1)])
         gamma_part = gam_const * (pair.rho2 ** (1 - n))[:, None, None] * np.eye(n)[None]
         return body + gamma_part
 

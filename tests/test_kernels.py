@@ -4,10 +4,12 @@ The rate-based comparisons against the printed main terms live in the verify
 suites; here we pin exact values, degrees, and the small derivative facts.
 """
 
+from math import comb
+
 import numpy as np
 import pytest
 
-from hlkernels import domain, forms, kernels
+from hlkernels import domain, forms, kernels, verify
 from hlkernels.forms import DoubleForm
 from hlkernels.kernels import (KernelError, PoleOnDiagonal, adjoint_kernel,
                                coefficient_a, coefficient_c)
@@ -86,6 +88,131 @@ def test_lq_bidegree_and_claimed_type():
     assert v.zeta_degree() == (0, 3)
     assert v.z_degree() == (1, 0)
     assert k.claimed_type == 2
+
+
+# -- closed-form jets against the finite-difference oracle --------------------------
+
+JET_MODELS = [domain.make_domain(name, n) for name in ("ball", "pinched") for n in (2, 3, 4)]
+JET_DEPTHS = {"xi=1": -0.08, "band": -0.19, "xi=0": -0.3}   # r at zeta; delta = 0.15
+
+
+def _pair_at_depth(model, r_target, seed=0):
+    """zeta inward from a boundary base point with r(zeta) = r_target, and a
+    z near the boundary beside it."""
+    p = verify._base_point(model, seed)
+    nu = model.inward_normal(p)
+    lo, hi = 0.0, 0.5
+    for _ in range(60):
+        t = 0.5 * (lo + hi)
+        lo, hi = (t, hi) if model.r(p + t * nu) > r_target else (lo, t)
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal(model.n) + 1j * rng.standard_normal(model.n)
+    return p + lo * nu, p + 0.03 * nu + 0.04 * w / np.linalg.norm(w)
+
+
+def _rel(got, want):
+    """Largest coefficient error relative to the largest coefficient of want."""
+    scale = max([abs(v) for v in want.coeffs.values()] + [0.0])
+    diff = (got - want).coeffs.values()
+    err = max([abs(v) for v in diff] + [0.0])
+    return err / scale if scale else err
+
+
+def _model_id(model):
+    return f"{model.name}{model.n}"
+
+
+@pytest.mark.parametrize("depth", sorted(JET_DEPTHS))
+@pytest.mark.parametrize("model", JET_MODELS, ids=_model_id)
+def test_alpha_jet_matches_oracle(model, depth):
+    zeta, z = _pair_at_depth(model, JET_DEPTHS[depth])
+    xi, dxi_dr = model.xi_jet(zeta)
+    assert (xi == 1.0, dxi_dr != 0.0, xi == 0.0) == (depth == "xi=1", depth == "band",
+                                                       depth == "xi=0")
+    al = kernels.alpha(model)
+    a, da = kernels.alpha_jet(model, zeta, z)
+    want = kernels.kernel_derivative(al, "dbar", "zeta").eval(zeta, z)
+    got = kernels._jet_dbar(model.n, "az", da)
+    if depth == "xi=0":
+        assert want.is_zero() and got.is_zero() and not a.any()
+        return
+    assert _rel(got, want) < 1e-7
+    # alpha is holomorphic in z: the oracle's dbar_z is roundoff against dbar_zeta
+    dz = kernels.kernel_derivative(al, "dbar", "z").eval(zeta, z)
+    assert dz.norm() < 1e-7 * want.norm()
+
+
+@pytest.mark.parametrize("depth", sorted(JET_DEPTHS))
+@pytest.mark.parametrize("model", JET_MODELS, ids=_model_id)
+def test_beta_jet_matches_oracle(model, depth):
+    zeta, z = _pair_at_depth(model, JET_DEPTHS[depth])
+    be = kernels.beta(model)
+    _, db = kernels.beta_jet(model, zeta, z)
+    n = model.n
+    for var, slot, d in (("zeta", "az", db), ("z", "aw", -db)):
+        want = kernels.kernel_derivative(be, "dbar", var).eval(zeta, z)
+        assert _rel(kernels._jet_dbar(n, slot, d), want) < 1e-7
+
+
+def _fd_cq(model, q, zeta, z):
+    """C_q assembled from the evaluators and their finite-difference dbar
+    factors, with the full nu-sum."""
+    n = model.n
+    al, be = kernels.alpha(model), kernels.beta(model)
+    av, bv = al.eval(zeta, z), be.eval(zeta, z)
+    d = {(f.id, var): kernels.kernel_derivative(f, "dbar", var).eval(zeta, z)
+         for f in (al, be) for var in ("zeta", "z")}
+    out = DoubleForm.zero(n)
+    for mu in range(n - q - 1):
+        for nu in range(q + 1):
+            t = forms.wedge(forms.wedge(av, bv), forms.wedge_power(d["alpha", "zeta"], mu))
+            t = forms.wedge(t, forms.wedge_power(d["beta", "zeta"], n - q - mu - 2))
+            t = forms.wedge(t, forms.wedge_power(d["alpha", "z"], nu))
+            t = forms.wedge(t, forms.wedge_power(d["beta", "z"], q - nu))
+            out = out + t.scale(coefficient_a(n, q, mu, nu))
+    return out
+
+
+def _fd_kq(model, q, zeta, z):
+    n = model.n
+    al = kernels.alpha(model)
+    out = forms.wedge(al.eval(zeta, z), forms.wedge_power(
+        kernels.kernel_derivative(al, "dbar", "zeta").eval(zeta, z), n - q - 1))
+    out = forms.wedge(out, forms.wedge_power(
+        kernels.kernel_derivative(al, "dbar", "z").eval(zeta, z), q))
+    const = (-1.0) ** (q * (q - 1) // 2) * comb(n - 1, q) * (1.0 / (2j * np.pi)) ** n
+    return out.scale(const)
+
+
+@pytest.mark.parametrize("depth", ["xi=1", "band"])
+@pytest.mark.parametrize("model", [m for m in JET_MODELS if m.n >= 3], ids=_model_id)
+def test_cq_and_kq_match_finite_difference_assembly(model, depth):
+    zeta, z = _pair_at_depth(model, JET_DEPTHS[depth], seed=1)
+    n = model.n
+    for q in range(n - 1):
+        got, want = kernels.cq(model, q).eval(zeta, z), _fd_cq(model, q, zeta, z)
+        assert not want.is_zero() and _rel(got, want) < 1e-8
+    got, want = kernels.kq(model, 0).eval(zeta, z), _fd_kq(model, 0, zeta, z)
+    assert _rel(got, want) < 1e-8
+    for q in range(1, n):
+        # (dbar_z alpha)^q = 0: exactly zero here, roundoff in the assembly
+        assert kernels.kq(model, q).eval(zeta, z).is_zero()
+        assert _fd_kq(model, q, zeta, z).norm() < 1e-8 * want.norm()
+
+
+def test_cq_is_zero_where_xi_vanishes():
+    zeta, z = _pair_at_depth(BALL3, JET_DEPTHS["xi=0"])
+    assert kernels.cq(BALL3, 1).eval(zeta, z).is_zero()
+    assert kernels.kq(BALL3, 0).eval(zeta, z).is_zero()
+
+
+def test_cq_errors_from_the_base_point():
+    zeta = c(0.98, 0.1, 0.05)
+    with pytest.raises(PoleOnDiagonal):
+        kernels.cq(BALL3, 1).eval(zeta, zeta)       # beta's pole
+    # r = 0 there, so xi = 1, but |zeta| > bounding_radius
+    with pytest.raises(domain.OutsideDomain):
+        kernels.cq(domain.pinched(3), 1).eval(c(1.5, 1.5, 0.0), c(1.3, 1.3, 0.1))
 
 
 # -- parametrix ---------------------------------------------------------------------
