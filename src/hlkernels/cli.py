@@ -107,11 +107,7 @@ def cmd_suite(args) -> int:
 def cmd_eval(args) -> int:
     cfg = _load_config(args)
     model = make_domain(cfg["domain"], cfg["n"], delta=cfg["delta"])
-    try:
-        kern = kernels.make_kernel(args.kernel, model, cfg["q"])
-    except kernels.KernelError as e:
-        print(e, file=sys.stderr)
-        return EXIT_USAGE
+    kern = kernels.make_kernel(args.kernel, model, cfg["q"])
     out = _outdir(cfg)
     rows = []
     n = cfg["n"]
@@ -255,7 +251,8 @@ def main(argv=None) -> int:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_PASS
     try:
         return args.func(args)
-    except (ValueError, OSError, DomainError, verify.VerifyError, quad.QuadError) as e:
+    except (ValueError, OSError, DomainError, kernels.KernelError, verify.VerifyError,
+            quad.QuadError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

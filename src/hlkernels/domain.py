@@ -94,8 +94,8 @@ class DomainModel:
     bounding_radius: float = 1.6
 
     def __post_init__(self):
-        # the coframe Gram matrix, inverted once
-        object.__setattr__(self, "_levi_inv", np.linalg.inv(self.levi_const))
+        # the coframe Gram matrix H^-1, inverted once
+        object.__setattr__(self, "levi_inv", np.linalg.inv(self.levi_const))
 
     def r(self, zeta: np.ndarray):
         """r at one point (n,), or at each row of (P, n)."""
@@ -155,7 +155,7 @@ class DomainModel:
 
     def _coframe_dot(self, u: np.ndarray, v: np.ndarray):
         """Levi-metric inner product of coframe coefficient rows."""
-        return _dot(u @ self._levi_inv, v.conj())
+        return _dot(u @ self.levi_inv, v.conj())
 
     def frame(self, zeta: np.ndarray) -> np.ndarray:
         """Orthonormal coframe rows (omega^1 .. omega^n) with dr = gamma omega^n,

@@ -15,7 +15,6 @@ with dV the metric volume form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -87,44 +86,6 @@ def merge_sign(a: MultiIndex, b: MultiIndex) -> tuple[int, MultiIndex]:
 def complement(idx: MultiIndex, n: int) -> MultiIndex:
     s = set(idx)
     return tuple(j for j in range(1, n + 1) if j not in s)
-
-
-@dataclass(frozen=True)
-class Metric:
-    """Hermitian positive-definite Levi matrix at a point."""
-
-    h: np.ndarray
-
-    def __post_init__(self):
-        h = np.asarray(self.h, dtype=complex)
-        object.__setattr__(self, "h", h)
-        if h.ndim != 2 or h.shape[0] != h.shape[1]:
-            raise FormError("metric must be a square matrix")
-        if not np.allclose(h, h.conj().T, atol=1e-10):
-            raise FormError("metric must be Hermitian")
-        if np.linalg.eigvalsh(h).min() <= 0:
-            raise FormError("metric must be positive definite")
-
-    @property
-    def n(self) -> int:
-        return self.h.shape[0]
-
-    def is_identity(self) -> bool:
-        return bool(np.allclose(self.h, np.eye(self.n), atol=1e-13))
-
-    def form_gram(self) -> np.ndarray:
-        """Inner products of the coordinate (1,0)-coframe: inverse Levi matrix."""
-        return np.linalg.inv(self.h)
-
-    def orthonormal_coframe(self) -> np.ndarray:
-        """Rows are an orthonormal (1,0)-coframe in coordinate components."""
-        gram = self.form_gram()
-        chol = np.linalg.cholesky(gram)
-        return np.linalg.inv(chol)
-
-
-def identity_metric(n: int) -> Metric:
-    return Metric(np.eye(n))
 
 
 Frame = tuple[str, str]
@@ -425,11 +386,11 @@ def to_coord(f: DoubleForm, U_zeta: np.ndarray | None = None,
     return g
 
 
-def hodge_star(f: DoubleForm, metric: Metric | None, variable: str) -> DoubleForm:
+def hodge_star(f: DoubleForm, variable: str) -> DoubleForm:
     """Hodge star in one variable: a (p,q) component maps to (n-q, n-p).
 
-    Satisfies f ^ *conj(f) = |f|^2 dV and *1 = dV.  With metric None the
-    current frame is taken to be orthonormal.
+    Satisfies f ^ *conj(f) = |f|^2 dV and *1 = dV, with the current frame
+    taken to be orthonormal.
     """
     if variable not in ("zeta", "z"):
         raise FormError(f"variable must be zeta or z, got {variable!r}")
@@ -437,17 +398,7 @@ def hodge_star(f: DoubleForm, metric: Metric | None, variable: str) -> DoubleFor
             for k in f.coeffs}
     if len(degs) > 1:
         raise NotHomogeneous(f"star of non-homogeneous form: degrees {degs}")
-    if metric is None or metric.is_identity():
-        return _star_orthonormal(f, variable)
-    U = metric.orthonormal_coframe()
-    inv = np.linalg.inv(U)
-    if variable == "zeta":
-        g = transform_slot(transform_slot(f, 0, inv), 1, np.conj(inv))
-        g = _star_orthonormal(g, variable)
-        return transform_slot(transform_slot(g, 0, U), 1, np.conj(U))
-    g = transform_slot(transform_slot(f, 2, inv), 3, np.conj(inv))
-    g = _star_orthonormal(g, variable)
-    return transform_slot(transform_slot(g, 2, U), 3, np.conj(U))
+    return _star_orthonormal(f, variable)
 
 
 def inner(f: DoubleForm, g: DoubleForm) -> complex:

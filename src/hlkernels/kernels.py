@@ -202,7 +202,7 @@ def kernel_derivative(k: KernelEvaluator, op: str, var: str) -> KernelEvaluator:
 
 def kernel_star_zeta(k: KernelEvaluator) -> KernelEvaluator:
     def ev(zeta, z):
-        return forms.hodge_star(k.eval(zeta, z), None, "zeta")
+        return forms.hodge_star(k.eval(zeta, z), "zeta")
 
     return KernelEvaluator(f"star_z[{k.id}]", k.n, ev, k.q)
 
@@ -212,7 +212,7 @@ def kernel_vartheta_zeta(k: KernelEvaluator) -> KernelEvaluator:
     inner = kernel_derivative(kernel_star_zeta(k), "del", "zeta")
 
     def ev(zeta, z):
-        return forms.hodge_star(inner.eval(zeta, z), None, "zeta").scale(-1.0)
+        return forms.hodge_star(inner.eval(zeta, z), "zeta").scale(-1.0)
 
     return KernelEvaluator(f"vartheta[{k.id}]", k.n, ev, k.q)
 
@@ -273,7 +273,7 @@ def lq(model: DomainModel, q: int) -> KernelEvaluator:
     sign = (-1.0) ** (q + 1)
 
     def ev(zeta, z):
-        return forms.hodge_star(conj_form(c.eval(zeta, z)), None, "zeta").scale(sign)
+        return forms.hodge_star(conj_form(c.eval(zeta, z)), "zeta").scale(sign)
 
     return KernelEvaluator(f"Lq[q={q}]", model.n, ev, q, claimed_type=2)
 
@@ -314,6 +314,51 @@ def mixed_rho2_form(model: DomainModel, zeta, z) -> DoubleForm:
     return DoubleForm(n, coeffs)
 
 
+def compound(m: np.ndarray, q: int) -> np.ndarray:
+    """q-th compound of square matrices (..., n, n): the minors det m[B, A]
+    for the q-subsets B, A of the indices in `combinations` order.  A q-fold
+    wedge of sum m[b, a] dv_b ^ dw_a, and a frame change of a q-form, act on
+    packed coefficients through it (Cauchy-Binet)."""
+    if q == 1:
+        return m
+    if q == 0:
+        return np.ones(m.shape[:-2] + (1, 1), dtype=m.dtype)
+    n = m.shape[-1]
+    keys = list(combinations(range(n), q))
+    # Laplace expansion of each minor along its first row
+    lower = compound(m, q - 1)
+    pos = {key: i for i, key in enumerate(combinations(range(n), q - 1))}
+    first = np.array([b[0] for b in keys])[:, None]
+    rest = np.array([pos[b[1:]] for b in keys])[:, None]
+    out = np.zeros(m.shape[:-2] + (len(keys), len(keys)), dtype=np.result_type(m, 1.0))
+    for k in range(q):
+        col = np.array([a[k] for a in keys])[None, :]
+        minor = np.array([pos[a[:k] + a[k + 1:]] for a in keys])[None, :]
+        term = m[..., first, col] * lower[..., rest, minor]
+        out += -term if k % 2 else term
+    return out
+
+
+def _packed_form(n: int, q: int, k: np.ndarray) -> DoubleForm:
+    """sum k[B, A] dzetabar^B ^ dz^A, B and A the q-subsets in
+    `combinations` order."""
+    keys = list(combinations(range(1, n + 1), q))
+    return DoubleForm(n, {((), b, a, ()): k[i, j] for i, b in enumerate(keys)
+                          for j, a in enumerate(keys)})
+
+
+def gamma0q_packed(model: DomainModel, q: int, rho2) -> np.ndarray:
+    """Gamma_0q packed as in `_packed_form`, for rho2 of any shape: the
+    normalized q-th wedge power of the mixed form, (-1)^(q(q-1)/2) C_q(H),
+    times (n-2)!/(2 pi^n) rho^(2-2n)."""
+    rho2 = np.asarray(rho2)
+    if np.any(rho2 < 1e-30):
+        raise PoleOnDiagonal("parametrix pole")
+    n = model.n
+    const = (-1.0) ** (q * (q - 1) // 2) * factorial(n - 2) / (2.0 * pi ** n)
+    return (const * rho2 ** (1 - n))[..., None, None] * compound(model.levi_const, q)
+
+
 def gamma0q(model: DomainModel, q: int) -> KernelEvaluator:
     """Flat parametrix kernel: scalar rho^(2-2n) times the normalized q-th
     wedge power of the mixed second-order form (an identity matrix on
@@ -321,15 +366,9 @@ def gamma0q(model: DomainModel, q: int) -> KernelEvaluator:
     n = model.n
     if not 0 <= q <= n:
         raise KernelError(f"q={q} out of range for n={n}")
-    const = factorial(n - 2) / (2.0 * pi ** n)
 
     def ev(zeta, z):
-        r2 = model.rho2(zeta, z)
-        if r2 < 1e-30:
-            raise PoleOnDiagonal("parametrix pole")
-        m = mixed_rho2_form(model, zeta, z)
-        body = wedge_power(m, q).scale(1.0 / factorial(q)) if q else DoubleForm.scalar(n, 1.0)
-        return body.scale(const * r2 ** (1 - n))
+        return _packed_form(n, q, gamma0q_packed(model, q, model.rho2(zeta, z)))
 
     return KernelEvaluator(f"Gamma0q[q={q}]", n, ev, q, claimed_type=2)
 
@@ -341,18 +380,18 @@ def tq(model: DomainModel, q: int) -> KernelEvaluator:
     """vartheta L_q - d_z L_{q-1} + dbar Gamma_{0q} for q >= 1; the q = 0
     variant replaces the middle term by -*_zeta conj(K_0)."""
     n = model.n
-    vt = kernel_vartheta_zeta(lq(model, q))
     dg = kernel_derivative(gamma0q(model, q), "dbar", "zeta")
     if q >= 1:
-        mid = kernel_derivative(lq(model, q - 1), "del", "z")
+        h = h_numeric(model, q)
 
         def ev(zeta, z):
-            return vt.eval(zeta, z) - mid.eval(zeta, z) + dg.eval(zeta, z)
+            return h.eval(zeta, z) + dg.eval(zeta, z)
     else:
+        vt = kernel_vartheta_zeta(lq(model, q))
         k0 = kq(model, 0)
 
         def ev(zeta, z):
-            mid_v = forms.hodge_star(conj_form(k0.eval(zeta, z)), None, "zeta")
+            mid_v = forms.hodge_star(conj_form(k0.eval(zeta, z)), "zeta")
             return vt.eval(zeta, z) - mid_v + dg.eval(zeta, z)
 
     return KernelEvaluator(f"Tq[q={q}]", n, ev, q, claimed_type=1)
@@ -520,31 +559,66 @@ def neumann_tangential_scalar(n: int, q: int, g, gs, phi, P):
     return s
 
 
-def nq(model: DomainModel, q: int) -> KernelEvaluator:
-    """Principal kernel of the Neumann operator: weighted tangential block
-    tau^q, the conormal block on tau^(q-1) ^ nu, plus the parametrix."""
+def nq_rows(model: DomainModel, q: int):
+    """The principal Neumann kernel on rows of zeta: rows(zeta_rows, z) is
+    (P, C(n,q), C(n,q)), packed as in `_packed_form`.
+
+    In the adapted frames the mixed form -(1/2) dbar_zeta d_z rho^2 has the
+    matrix A = U(zeta) H^-1 U(z)^H, and its q-th wedge power is
+    (-1)^(q(q-1)/2) q! C_q(A).  The weighted tangential block tau^q keeps the
+    entries whose labels both lack the conormal label n; tau^(q-1) ^ nu is
+    (q-1)! times the rest of the q-th power, with A_nn C_(q-1) of the
+    tangential block where both labels hold n.  The frame change to
+    coordinates is conj(C_q(U(zeta)))^T body C_q(U(z)), plus Gamma_0q.
+    Errors: those of `DomainModel.geo_pair`, then PoleOnDiagonal.
+    """
     n = model.n
     if n < 3:
         raise KernelError("requires n >= 3")
     if not (1 <= q <= n - 2):
-        raise KernelError(f"q={q} out of range")
+        raise KernelError(f"q={q} out of range for n={n}")
+    sign = (-1.0) ** (q * (q - 1) // 2)
     pref = 2.0 ** (n - 2) / (2 * pi) ** n * factorial(n - q - 2)
-    nu_const = -(2.0 ** (n - 1)) * factorial(n - 2) / (factorial(q - 1) * (2 * pi) ** n)
-    gam = gamma0q(model, q)
+    tan_const = sign * factorial(q) * pref
+    nu_const = -sign * 2.0 ** (n - 1) * factorial(n - 2) / (2 * pi) ** n
+    has_n = np.array([n in key for key in combinations(range(1, n + 1), q)])
+    tan_keys = np.flatnonzero(~has_n)
+    n_keys = np.flatnonzero(has_n)
 
-    def ev(zeta, z):
-        pair = model.geo_pair(zeta, z)
+    def rows(zeta_rows, z):
+        pair = model.geo_pair(zeta_rows, z)
+        gam = gamma0q_packed(model, q, pair.rho2)
         P = pair.big_p
         s = neumann_tangential_scalar(n, q, pair.gamma, pair.gamma_star, pair.phi, P)
-        Uz = model.frame(zeta)
-        Uw = model.frame(z)
-        tau, nu = tau_nu_split(model, zeta, z, Uz, Uw)
-        body = wedge_power(tau, q).scale(pref * s)
-        body = body + wedge(wedge_power(tau, q - 1), nu).scale(nu_const * P ** (1 - n))
-        body = forms.change_frame_z(forms.change_frame_zeta(body, Uz, COORD), Uw, COORD)
-        return body + gam.eval(zeta, z)
+        Uc = model.frame(zeta_rows)
+        Uw = model.frame(pair.z)
+        A = (Uc.reshape(-1, n) @ (model.levi_inv @ Uw.conj().T)).reshape(Uc.shape)
+        CA = compound(A, q)
+        nu_w = nu_const * P ** (1 - n)
+        body = nu_w[:, None, None] * CA
+        tan_block = (slice(None), tan_keys[:, None], tan_keys)
+        body[tan_block] = (tan_const * s)[:, None, None] * CA[tan_block]
+        if q >= 2:
+            body[:, n_keys[:, None], n_keys] = ((nu_w * A[:, n - 1, n - 1])[:, None, None]
+                                                * compound(A[:, :n - 1, :n - 1], q - 1))
+        # the two per-node factors first: the path einsum's optimizer picks
+        # for every n and block size, given here so no call searches for it
+        K = np.einsum("cji,cjk,ka->cia", compound(Uc, q).conj(), body, compound(Uw, q),
+                      optimize=["einsum_path", (0, 1), (0, 1)])
+        return K + gam
 
-    return KernelEvaluator(f"Nq[q={q}]", n, ev, q, claimed_type=2)
+    return rows
+
+
+def nq(model: DomainModel, q: int) -> KernelEvaluator:
+    """Principal kernel of the Neumann operator, the one-row case of
+    `nq_rows`."""
+    rows = nq_rows(model, q)
+
+    def ev(zeta, z):
+        return _packed_form(model.n, q, rows(np.asarray(zeta)[None, :], z)[0])
+
+    return KernelEvaluator(f"Nq[q={q}]", model.n, ev, q, claimed_type=2)
 
 
 def theta_coefficient(f: DoubleForm, L: tuple[int, ...]) -> DoubleForm:

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product
-from math import factorial, pi
 
 import numpy as np
 
@@ -255,41 +254,18 @@ def batch_frames(model: DomainModel, pts: np.ndarray) -> np.ndarray:
 
 
 def batch_nq(model: DomainModel, q: int):
-    """Vectorized principal Neumann kernel for q = 1, packed (nodes, b, a) with
-    coefficient of dzetabar_b ^ dz_a.  Agrees with kernels.nq per point."""
-    if q != 1:
-        raise QuadError("vectorized path implemented for q = 1")
-    n = model.n
-    pref = 2.0 ** (n - 2) / (2 * pi) ** n * factorial(n - q - 2)
-    nu_const = -(2.0 ** (n - 1)) * factorial(n - 2) / (factorial(q - 1) * (2 * pi) ** n)
-    gam_const = factorial(n - 2) / (2.0 * pi ** n)
+    """Principal Neumann kernel `kernels.nq_rows`, packed (nodes, B, A) with
+    the coefficient of dzetabar^B ^ dz^A, evaluated in blocks of nodes so its
+    temporaries have one size whatever the number of nodes."""
+    rows = kernels.nq_rows(model, q)
+    ncomp = len(anti_keys(model.n, q))
 
     def ev(nodes: np.ndarray, z: np.ndarray) -> np.ndarray:
-        # in blocks of nodes, so the temporaries below (a dozen arrays of
-        # nodes x n x n) have one size whatever the number of nodes
         z = np.asarray(z, dtype=complex)
-        Uz = model.frame(z)
-        out = np.empty((len(nodes), n, n), dtype=complex)
+        out = np.empty((len(nodes), ncomp, ncomp), dtype=complex)
         for lo in range(0, len(nodes), BLOCK_NODES):
-            out[lo:lo + BLOCK_NODES] = block(nodes[lo:lo + BLOCK_NODES], z, Uz)
+            out[lo:lo + BLOCK_NODES] = rows(nodes[lo:lo + BLOCK_NODES], z)
         return out
-
-    def block(nodes, z, Uz):
-        pair = model.geo_pair(nodes, z)
-        P = pair.big_p
-        s = kernels.neumann_tangential_scalar(n, q, pair.gamma, pair.gamma_star, pair.phi, P)
-        Uc = model.frame(nodes)
-        A = (Uc.reshape(-1, n) @ Uz.conj().T).reshape(Uc.shape)   # M in adapted frames
-        # the normal weight on the nu part of M, the tangential weight on the
-        # tau block
-        body_ad = nu_const * (P ** (1 - n))[:, None, None] * A
-        body_ad[:, : n - 1, : n - 1] = (pref * s)[:, None, None] * A[:, : n - 1, : n - 1]
-        # the two per-node factors first: the path einsum's optimizer picks
-        # for every n and block size, given here so no block searches for it
-        body = np.einsum("cji,cjk,ka->cia", Uc.conj(), body_ad, Uz,
-                         optimize=["einsum_path", (0, 1), (0, 1)])
-        gamma_part = gam_const * (pair.rho2 ** (1 - n))[:, None, None] * np.eye(n)[None]
-        return body + gamma_part
 
     return ev
 
@@ -472,9 +448,9 @@ def _field_forms(model: DomainModel, seed: int, q: int, scale: float = 0.28):
         for m in range(1, n + 1):
             comp = forms.hodge_star(
                 DoubleForm(n, {((), k, (), ()): coef[j] * dz[m - 1]
-                               for j, k in enumerate(keys)}), None, "zeta")
+                               for j, k in enumerate(keys)}), "zeta")
             dsv = dsv + forms.wedge(DoubleForm.monomial(n, hz=(m,)), comp)
-        return forms.hodge_star(dsv, None, "zeta").scale(-1.0)
+        return forms.hodge_star(dsv, "zeta").scale(-1.0)
 
     return value, dbar, vartheta
 

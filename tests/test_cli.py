@@ -110,6 +110,7 @@ def _one_line_usage_error(code, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    return err
 
 
 def test_suite_nkern_needs_n3(tmp_path, capsys):
@@ -167,6 +168,17 @@ def test_ratio_on_pinched_is_a_usage_error(tmp_path, capsys):
     code = run(["ratio", "--domain", "pinched", "--kernel", "Nq", "--n", "3", "--q", "1",
                 "--trials", "1", "--resolutions", "4", "--out", str(tmp_path / "o")])
     _one_line_usage_error(code, capsys)
+
+
+@pytest.mark.parametrize("n, q", [(2, 1), (3, 0), (3, 2), (4, 3), (5, 0)])
+def test_ratio_nq_out_of_range(tmp_path, capsys, n, q):
+    from hlkernels import domain, kernels
+    with pytest.raises(kernels.KernelError) as want:
+        kernels.nq(domain.ball(n), q)
+    code = run(["ratio", "--kernel", "Nq", "--n", str(n), "--q", str(q), "--trials", "1",
+                "--resolutions", "4", "--out", str(tmp_path / "o")])
+    assert _one_line_usage_error(code, capsys).strip() == f"error: {want.value}"
+    assert not (tmp_path / "o").exists()
 
 
 def test_domain_error_is_a_usage_error(tmp_path, capsys, monkeypatch):

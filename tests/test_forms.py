@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from hlkernels import forms
-from hlkernels.forms import (DoubleForm, Metric, adjoint_value, change_frame_zeta,
-                             conj_form, hodge_star, identity_metric, inner,
+from hlkernels.forms import (DoubleForm, adjoint_value, change_frame_zeta,
+                             conj_form, hodge_star, inner,
                              merge_sign, pair_pointwise, perm_sign,
                              restrict_boundary, swap_variables, volume_coeff,
                              wedge, wedge_power)
@@ -176,7 +176,7 @@ def test_star_matches_real_coframe_oracle(n):
         for q in range(n + 1):
             for A in idx(n, p):
                 for B in idx(n, q):
-                    got = hodge_star(DoubleForm.monomial(n, A, B), None, "zeta")
+                    got = hodge_star(DoubleForm.monomial(n, A, B), "zeta")
                     want = oracle(A, B)
                     keys = {(k[0], k[1]) for k in got.coeffs}
                     assert keys == set(want), (A, B)
@@ -186,11 +186,11 @@ def test_star_matches_real_coframe_oracle(n):
 
 def test_star_of_one_is_volume():
     for n in (1, 2, 3):
-        dV = hodge_star(DoubleForm.scalar(n, 1.0), None, "zeta")
+        dV = hodge_star(DoubleForm.scalar(n, 1.0), "zeta")
         full = tuple(range(1, n + 1))
         assert set(dV.coeffs) == {(full, full, (), ())}
         assert dV.coeffs[(full, full, (), ())] == pytest.approx(volume_coeff(n))
-        back = hodge_star(dV, None, "zeta")
+        back = hodge_star(dV, "zeta")
         assert (back - DoubleForm.scalar(n, 1.0)).norm() < 1e-14
 
 
@@ -201,7 +201,7 @@ def test_star_star_sign_euclidean_n2():
             for A in idx(n, p):
                 for B in idx(n, q):
                     f = DoubleForm.monomial(n, A, B)
-                    ss = hodge_star(hodge_star(f, None, "zeta"), None, "zeta")
+                    ss = hodge_star(hodge_star(f, "zeta"), "zeta")
                     deg = p + q
                     assert (ss - f.scale((-1.0) ** (deg * (4 - deg)))).norm() < 1e-13
 
@@ -215,35 +215,16 @@ def test_star_isometry_identity_metric():
         f = random_form(n, p, q, rng)
         g = random_form(n, p, q, rng)
         lhs = inner(f, g) * volume_coeff(n)
-        w = wedge(f, hodge_star(conj_form(g), None, "zeta"))
+        w = wedge(f, hodge_star(conj_form(g), "zeta"))
         assert abs(lhs - w.component((full, full, (), ()))) < 1e-11
         assert inner(f, f).real >= 0
-
-
-def test_star_general_metric_isometry():
-    n = 2
-    rng = np.random.default_rng(9)
-    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    h = a @ a.conj().T + n * np.eye(n)
-    metric = Metric(h)
-    U = metric.orthonormal_coframe()
-    gram = U @ metric.form_gram() @ U.conj().T
-    assert np.abs(gram - np.eye(n)).max() < 1e-12
-    f = random_form(n, 1, 1, rng)
-    # pointwise isometry in the metric: compare against the orthonormal frame
-    inv = np.linalg.inv(U)
-    f_on = forms.transform_slot(forms.transform_slot(f, 0, inv), 1, np.conj(inv))
-    sf = hodge_star(f, metric, "zeta")
-    sf_on = forms.transform_slot(forms.transform_slot(sf, 0, inv), 1, np.conj(inv))
-    want = hodge_star(f_on, None, "zeta")
-    assert (sf_on - want).norm() < 1e-10
 
 
 def test_star_rejects_inhomogeneous():
     n = 2
     f = DoubleForm.monomial(n, az=(1,)) + DoubleForm.scalar(n, 1.0)
     with pytest.raises(forms.NotHomogeneous):
-        hodge_star(f, None, "zeta")
+        hodge_star(f, "zeta")
 
 
 # -- conjugation, swap, adjoint -------------------------------------------------

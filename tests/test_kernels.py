@@ -4,10 +4,12 @@ The rate-based comparisons against the printed main terms live in the verify
 suites; here we pin exact values, degrees, and the small derivative facts.
 """
 
-from math import comb
+from math import comb, factorial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hlkernels import domain, forms, kernels, verify
 from hlkernels.forms import DoubleForm
@@ -383,6 +385,96 @@ def test_nq_requires_range():
         kernels.nq(BALL2, 1)       # needs n >= 3
     with pytest.raises(KernelError):
         kernels.nq(BALL3, 0)
+
+
+def test_nq_errors_in_order():
+    model = domain.pinched(3)
+    inside, far = c(0.5, 0.1, 0.1j), c(-0.5, 0.1j, 0.05)
+    with pytest.raises(domain.OutsideDomain):
+        kernels.nq(model, 1).eval(c(1.5, 1.5, 0.0), c(0.0, 0.0, 2.0))
+    with pytest.raises(domain.SingularFramePoint):
+        kernels.nq(model, 1).eval(c(0.0, 0.0, 0.0), far)
+    with pytest.raises(domain.DiagonalRadiusExceeded):
+        kernels.nq(model, 1).eval(inside, far)
+    with pytest.raises(PoleOnDiagonal):
+        kernels.nq(model, 1).eval(inside, inside)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(1, 5), st.data())
+def test_compound_is_multiplicative(n, data):
+    q = data.draw(st.integers(0, n))
+    seed = data.draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    x, y = (rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))
+            for _ in range(2))
+    compound = kernels.compound
+    np.testing.assert_allclose(compound(x @ y, q), compound(x, q) @ compound(y, q),
+                               rtol=0, atol=1e-9)
+    np.testing.assert_array_equal(compound(np.eye(n), q), np.eye(comb(n, q)))
+    np.testing.assert_array_equal(compound(x, 1), x)
+    np.testing.assert_allclose(compound(x, n)[:, 0, 0], np.linalg.det(x), rtol=0, atol=1e-9)
+
+
+def _nq_assembled(model, q, zeta, z):
+    """N_q built the long way: the tau / nu split of the mixed form in the
+    adapted frames, wedge powers and frame changes of double forms, and the
+    wedge power of the mixed form for the parametrix."""
+    n = model.n
+    pair = model.geo_pair(zeta, z)
+    P = pair.big_p
+    s = kernels.neumann_tangential_scalar(n, q, pair.gamma, pair.gamma_star, pair.phi, P)
+    Uz, Uw = model.frame(zeta), model.frame(z)
+    tau, nu = kernels.tau_nu_split(model, zeta, z, Uz, Uw)
+    pref = 2.0 ** (n - 2) / (2 * np.pi) ** n * factorial(n - q - 2)
+    nu_const = -(2.0 ** (n - 1)) * factorial(n - 2) / (factorial(q - 1) * (2 * np.pi) ** n)
+    body = forms.wedge_power(tau, q).scale(pref * s)
+    body = body + forms.wedge(forms.wedge_power(tau, q - 1), nu).scale(nu_const * P ** (1 - n))
+    body = forms.change_frame_z(forms.change_frame_zeta(body, Uz, forms.COORD), Uw, forms.COORD)
+    return body + _gamma0q_assembled(model, q, zeta, z)
+
+
+def _gamma0q_assembled(model, q, zeta, z):
+    n = model.n
+    const = factorial(n - 2) / (2.0 * np.pi ** n) * model.rho2(zeta, z) ** (1 - n)
+    return forms.wedge_power(kernels.mixed_rho2_form(model, zeta, z), q).scale(
+        const / factorial(q))
+
+
+def _max_diff(a, b):
+    return max(abs(a.component(k) - b.component(k)) for k in a.coeffs.keys() | b.coeffs.keys())
+
+
+def _oracle_points(model):
+    """A target z inside both models, nodes near it, and the node (0.5, 0, ...),
+    where dr lies along dzeta_1 and the frame skips that candidate."""
+    n = model.n
+    z = np.array([0.45 + 0.05j, 0.1] + [0.05j] * (n - 2))
+    rng = np.random.default_rng(n)
+    pts = [np.array([0.5] + [0.0] * (n - 1), dtype=complex)]
+    while len(pts) < 3:
+        zc = z + rng.uniform(-0.2, 0.2, n) + 1j * rng.uniform(-0.2, 0.2, n)
+        if model.r(zc) < -0.05:
+            pts.append(zc)
+    return pts, z
+
+
+@pytest.mark.parametrize("name", ["ball", "pinched"])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_packed_nq_and_gamma0q_match_the_assembly(name, n):
+    model = domain.make_domain(name, n)
+    pts, z = _oracle_points(model)
+    for q in range(1, n - 1):
+        nk = kernels.nq(model, q)
+        for zeta in pts:
+            want = _nq_assembled(model, q, zeta, z)
+            scale = max(abs(v) for v in want.coeffs.values())
+            assert _max_diff(nk.eval(zeta, z), want) <= 1e-13 * scale
+    for q in range(0, n + 1):
+        g = kernels.gamma0q(model, q)
+        want = _gamma0q_assembled(model, q, pts[1], z)
+        scale = max(abs(v) for v in want.coeffs.values())
+        assert _max_diff(g.eval(pts[1], z), want) <= 1e-13 * scale
 
 
 def test_nq_bidegree_and_gnq_value():

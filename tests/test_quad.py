@@ -10,6 +10,7 @@ from hlkernels.quad import (QuadError, anti_keys, apply_kernel, batch_nq,
 
 BALL2 = domain.ball(2)
 BALL3 = domain.ball(3)
+BALL4 = domain.ball(4)
 
 
 def test_grid_deterministic_and_inside():
@@ -117,27 +118,29 @@ def test_gamma00_on_bump_stable_under_refinement():
     assert abs(vals[1] - vals[0]) <= 0.10 * max(vals)
 
 
-def test_batch_nq_matches_pointwise():
-    batch = batch_nq(BALL3, 1)
+@pytest.mark.parametrize("model, q", [(BALL3, 1), (BALL4, 2)])
+def test_batch_nq_matches_pointwise(model, q):
+    n = model.n
+    batch = batch_nq(model, q)
     rng = np.random.default_rng(3)
     pts = []
     while len(pts) < 4:
-        cand = rng.uniform(-0.7, 0.7, 6)
+        cand = rng.uniform(-0.7, 0.7, 2 * n)
         zc = cand[0::2] + 1j * cand[1::2]
-        if BALL3.r(zc) < -0.1:
+        if model.r(zc) < -0.1:
             pts.append(zc)
     # dr is along dzeta_1 here, so the frame skips that coordinate candidate
-    pts.append(np.array([0.5, 0, 0], dtype=complex))
+    pts.append(np.array([0.5] + [0] * (n - 1), dtype=complex))
     pts = np.asarray(pts)
-    z = np.array([0.3 + 0.1j, -0.2, 0.15j])
+    z = np.array([0.3 + 0.1j, -0.2] + [0.15j] * (n - 2))
     K = batch(pts, z)
-    n1 = kernels.nq(BALL3, 1)
+    keys = anti_keys(n, q)
+    nk = kernels.nq(model, q)
     for i, cc in enumerate(pts):
-        v = n1.eval(cc, z)
-        for b in range(3):
-            for a in range(3):
-                assert K[i, b, a] == pytest.approx(
-                    v.component(((), (b + 1,), (a + 1,), ())), abs=1e-12)
+        v = nk.eval(cc, z)
+        for b, kb in enumerate(keys):
+            for a, ka in enumerate(keys):
+                assert K[i, b, a] == pytest.approx(v.component(((), kb, ka, ())), abs=1e-12)
 
 
 def test_batch_nq_and_pointwise_raise_alike_beyond_the_diagonal_radius():
@@ -200,9 +203,11 @@ def _per_trial_ratios(model, kernel_name, q, a, b, p, s, trials, res, seed, n_ta
 @pytest.mark.parametrize("model, kernel_name, q, a, b, res", [
     (BALL2, "E", 0, 0.0, 0.0, 8),
     (BALL3, "Nq", 1, 15.0, 2.0, 6),
+    (BALL4, "Nq", 2, 15.0, 2.0, 6),
 ])
 def test_ratio_table_kernel_reuse_keeps_the_numbers(model, kernel_name, q, a, b, res):
-    trials, seed, n_targets = 3, 5, 12
+    # an n = 4 target meets up to 42k subcells, so that case takes fewer
+    trials, seed, n_targets = (3, 5, 12) if model.n < 4 else (2, 5, 2)
     rep = ratio_table(model, kernel_name, q, a=a, b=b, p=2, s=3.5, trials=trials,
                       resolutions=[res], seed=seed, n_targets=n_targets)
     want = _per_trial_ratios(model, kernel_name, q, a, b, 2, 3.5, trials, res, seed,
@@ -236,19 +241,25 @@ def test_make_grid_matches_dense_lattice():
 
 @pytest.mark.parametrize("kernel_name", ["E", "Nq"])
 def test_blocked_evaluation_matches_one_block(monkeypatch, kernel_name):
-    # blocks of 7 nodes split the far cells, the subcells and the boundary
+    # blocks of 97 nodes split the far cells, the subcells and the boundary
     # between them unevenly
+    block = 97
     model, q = (BALL2, 0) if kernel_name == "E" else (BALL3, 1)
     batch = quad.batch_isotropic_model(model) if q == 0 else batch_nq(model, q)
     g = make_grid(model, 0.3, eps=0.3)
     z = np.array([[0.05, -0.1j] + [0.0] * (model.n - 2),
                   [0.2j, 0.1] + [0.0] * (model.n - 2)], dtype=complex)
+    for zz in z:
+        far, _, sub, _ = quad._split_nodes(g, zz)
+        nfar = int(np.count_nonzero(far))
+        assert nfar % block != 0 and len(sub) > 0 and nfar + len(sub) > block
     fields = quad._FieldStack([quad.random_test_field(model, q, seed=s) for s in (1, 2)])
     nodes = g.centers[::3]
+    assert len(nodes) > block
     monkeypatch.setattr(quad, "BLOCK_NODES", 10 ** 9)
     want_out = apply_kernel(None, fields, g, z, q, batch_eval=batch)
     want_k = batch(nodes, z[0])
-    monkeypatch.setattr(quad, "BLOCK_NODES", 7)
+    monkeypatch.setattr(quad, "BLOCK_NODES", block)
     np.testing.assert_allclose(apply_kernel(None, fields, g, z, q, batch_eval=batch),
                                want_out, rtol=1e-12, atol=0)
     np.testing.assert_array_equal(batch(nodes, z[0]), want_k)
