@@ -163,8 +163,13 @@ def cmd_derive(args) -> int:
 
 def cmd_ratio(args) -> int:
     cfg = _load_config(args)
-    model = make_domain(cfg["domain"], cfg["n"], delta=cfg["delta"])
     resolutions = [int(x) for x in args.resolutions.split(",")]
+    # `not v >= 1` also rejects NaN
+    bad = [f"{name}={v}" for name, v in (("p", args.p), ("s", args.s), ("trials", args.trials))
+           if not v >= 1] + [f"resolution={r}" for r in resolutions if r < 1]
+    if bad:
+        raise ValueError(f"ratio needs p, s, trials and every resolution >= 1; got {', '.join(bad)}")
+    model = make_domain(cfg["domain"], cfg["n"], delta=cfg["delta"])
     from fractions import Fraction
     if args.kernel == "E":
         thresh = zalg.e1_threshold(args.p, cfg["n"])

@@ -252,20 +252,13 @@ class DomainModel:
 
     def xi_patch(self, zeta: np.ndarray) -> float:
         """C^2 cutoff in |r|: 1 for |r| <= delta, 0 for |r| >= 1.5 delta."""
-        return self.xi_jet(zeta)[0]
-
-    def xi_jet(self, zeta: np.ndarray) -> tuple[float, float]:
-        """The cutoff xi_patch and its derivative d xi / d r at zeta, so that
-        d xi / dzetabar_k = (d xi / d r) conj(dr/dzeta_k)."""
-        r = self.r(zeta)
-        s = abs(r)
+        s = abs(self.r(zeta))
         if s <= self.delta:
-            return 1.0, 0.0
+            return 1.0
         if s >= 1.5 * self.delta:
-            return 0.0, 0.0
+            return 0.0
         t = (s - self.delta) / (0.5 * self.delta)
-        dxi_ds = -30 * t ** 2 * (1 - t) ** 2 / (0.5 * self.delta)
-        return 1.0 - (10 * t ** 3 - 15 * t ** 4 + 6 * t ** 5), float(np.sign(r)) * dxi_ds
+        return 1.0 - (10 * t ** 3 - 15 * t ** 4 + 6 * t ** 5)
 
     def geo_pair(self, zeta: np.ndarray, z: np.ndarray) -> "GeoPair":
         """Every pair scalar, from one gradient and one r per point.

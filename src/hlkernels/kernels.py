@@ -3,9 +3,11 @@
 Every evaluator is a pure function (zeta, z) -> DoubleForm in the coordinate
 frame.  Exact jets are used inside the scalar building blocks (rho^2, the
 support function, the extended distance) and for the dbar factors of alpha
-and beta, so C_q and K_q are closed-form; kernel-level dbar / del / vartheta
-operators use central finite differences with one Richardson level, so the
-error orders are measurable and controlled per path.
+and beta, modulo the form itself: a scalar times a constant form.  So C_q and
+K_q are closed-form, a scalar mu-series times constant forms built once per
+kernel; kernel-level dbar / del / vartheta operators use central finite
+differences with one Richardson level, so the error orders are measurable and
+controlled per path.
 """
 
 from __future__ import annotations
@@ -61,42 +63,41 @@ def adjoint_kernel(k: KernelEvaluator) -> KernelEvaluator:
 # -- scalar building blocks: closed-form jets ------------------------------------
 #
 # Both models are quadratic (constant Levi matrix H and holomorphic Hessian),
-# so alpha, beta and their dbar derivatives have short closed forms.  A jet
-# returns the coefficients c_j of a (1,0) zeta-form sum_j c_j dzeta_j and the
-# matrix D[j, k] = d c_j / dzetabar_k.
+# so alpha, beta and their dbar derivatives have short closed forms.  With
+# Omega(M) = sum_k dzetabar_k ^ sum_j M[j, k] dzeta_j (`_jet_dbar`, slot "az";
+# Omega_z uses slot "aw"), a jet returns the coefficients c_j of a (1,0)
+# zeta-form sum_j c_j dzeta_j and the scalar s with dbar of that form equal to
+# s Omega(M) for a constant M, modulo the form itself.
 
 
-def alpha_jet(model: DomainModel, zeta, z) -> tuple[np.ndarray, np.ndarray]:
-    """Jet of alpha = xi dr / Phi; zero where xi = 0.
+def alpha_jet(model: DomainModel, zeta, z) -> tuple[np.ndarray, complex]:
+    """alpha = xi dr / Phi as (a, xi / Phi); (0, 0) where xi = 0.
 
-    With d = zeta - z: d(dr/dzeta_j)/dzetabar_k = H[j, k] and
-    dPhi/dzetabar_k = (d^T H)_k - conj(dr/dzeta_k).  Phi depends on z only
-    through d, holomorphically, so dbar_z alpha = 0.
+    With d = zeta - z, d a_j / dzetabar_k is (xi / Phi) H[j, k] plus
+    grad_j (d xi / dzetabar_k) / Phi - a_j (dPhi / dzetabar_k) / Phi; the last
+    two parts lie along alpha, so dbar_zeta alpha = (xi / Phi) Omega(H) modulo
+    alpha.  Phi depends on z only through d, holomorphically, so
+    dbar_z alpha = 0.
     """
-    n = model.n
-    xi, dxi_dr = model.xi_jet(zeta)
+    xi = model.xi_patch(zeta)
     if xi == 0.0:
-        return np.zeros(n, dtype=complex), np.zeros((n, n), dtype=complex)
+        return np.zeros(model.n, dtype=complex), 0.0
     phi = model.phi(zeta, z)
     if abs(phi) < 1e-15:
         raise PoleOnDiagonal(f"Phi = 0 at {zeta}, {z}")
-    grad = model.grad(zeta)
-    a = xi * grad / phi
-    dphi = (zeta - z) @ model.levi_const - grad.conj()
-    da = ((np.outer(grad, dxi_dr * grad.conj()) + xi * model.levi_const) / phi
-          - np.outer(a, dphi) / phi)
-    return a, da
+    s = xi / phi
+    return s * model.grad(zeta), s
 
 
-def beta_jet(model: DomainModel, zeta, z) -> tuple[np.ndarray, np.ndarray]:
-    """Jet of beta = d_zeta rho^2 / rho^2.  rho^2 depends on zeta - z, so the
-    dzbar_k derivatives are -D[:, k]."""
+def beta_jet(model: DomainModel, zeta, z) -> tuple[np.ndarray, float]:
+    """beta = d_zeta rho^2 / rho^2 as (b, 2 / rho^2).  d b_j / dzetabar_k is
+    (2 / rho^2) H[k, j] - b_j (d rho^2 / dzetabar_k) / rho^2, and rho^2
+    depends on zeta - z, so modulo beta dbar_zeta beta = (2 / rho^2)
+    Omega(H^T) and dbar_z beta = -(2 / rho^2) Omega_z(H^T)."""
     r2 = model.rho2(zeta, z)
     if r2 < 1e-30:
         raise PoleOnDiagonal("beta pole: zeta = z")
-    b = model.d_zeta_rho2(zeta, z) / r2
-    db = 2.0 * model.levi_const.T / r2 - np.outer(b, model.dbar_zeta_rho2(zeta, z)) / r2
-    return b, db
+    return model.d_zeta_rho2(zeta, z) / r2, 2.0 / r2
 
 
 def _one_form(n: int, c: np.ndarray) -> DoubleForm:
@@ -241,28 +242,33 @@ def coefficient_c(n: int, q: int) -> float:
 
 def cq(model: DomainModel, q: int) -> KernelEvaluator:
     """The double sum over a_{q mu nu} of wedge products of alpha, beta and
-    their dbar factors, from the closed-form jets.  dbar_z alpha = 0, so only
-    the nu = 0 terms are nonzero."""
+    their dbar factors.  dbar_z alpha = 0, so only the nu = 0 terms are
+    nonzero, and inside alpha ^ beta the jets' scalars times Omega forms
+    stand for the dbar factors:
+
+        C_q = alpha ^ beta ^ sum_mu a_{q mu 0} (xi / Phi)^mu (2 / rho^2)^(n-2-mu) W_mu,
+        W_mu = Omega(H)^mu ^ Omega(H^T)^(n-q-2-mu) ^ Omega_z(-H^T)^q,
+
+    with the constant forms W_mu built once."""
     n = model.n
     if not 0 <= q <= n - 2:
         raise KernelError(f"q={q} out of range for n={n}")
+    h = model.levi_const
+    da, db = _jet_dbar(n, "az", h), _jet_dbar(n, "az", h.T)
+    tail = wedge_power(_jet_dbar(n, "aw", -h.T), q)
+    ws = [wedge(wedge(wedge_power(da, mu), wedge_power(db, n - q - 2 - mu)), tail)
+          .scale(coefficient_a(n, q, mu, 0)) for mu in range(n - q - 1)]
 
     def ev(zeta, z):
-        a, da = alpha_jet(model, zeta, z)
+        a, sa = alpha_jet(model, zeta, z)
         av = _one_form(n, a)
         if av.is_zero():
             return DoubleForm.zero(n)
-        b, db = beta_jet(model, zeta, z)
-        dav = _jet_dbar(n, "az", da)
-        dbv = _jet_dbar(n, "az", db)
-        tail = wedge_power(_jet_dbar(n, "aw", -db), q)
-        base = wedge(av, _one_form(n, b))
-        out = DoubleForm.zero(n)
-        for mu in range(0, n - q - 1):
-            term = wedge(base, wedge_power(dav, mu))
-            term = wedge(term, wedge_power(dbv, n - q - mu - 2))
-            out = out + wedge(term, tail).scale(coefficient_a(n, q, mu, 0))
-        return out
+        b, sb = beta_jet(model, zeta, z)
+        series = DoubleForm.zero(n)
+        for mu, w in enumerate(ws):
+            series = series + w.scale(sa ** mu * sb ** (n - 2 - mu))
+        return wedge(wedge(av, _one_form(n, b)), series)
 
     return KernelEvaluator(f"Cq[q={q}]", n, ev, q)
 
@@ -279,19 +285,21 @@ def lq(model: DomainModel, q: int) -> KernelEvaluator:
 
 
 def kq(model: DomainModel, q: int) -> KernelEvaluator:
-    """Cauchy-Fantappie type kernel built from alpha alone.  It carries
+    """Cauchy-Fantappie type kernel built from alpha alone: K_0 is
+    const (xi / Phi)^(n-1) alpha ^ Omega(H)^(n-1).  It carries
     (dbar_z alpha)^q = 0, so it vanishes for q >= 1."""
     n = model.n
     if not 0 <= q <= n - 1:
         raise KernelError(f"q={q} out of range for n={n}")
     const = ((-1.0) ** (q * (q - 1) // 2)) * comb(n - 1, q) * (1.0 / (2j * pi)) ** n
+    w = wedge_power(_jet_dbar(n, "az", model.levi_const), n - 1).scale(const)
 
     def ev(zeta, z):
-        a, da = alpha_jet(model, zeta, z)
+        a, sa = alpha_jet(model, zeta, z)
         av = _one_form(n, a)
         if av.is_zero() or q:
             return DoubleForm.zero(n)
-        return wedge(av, wedge_power(_jet_dbar(n, "az", da), n - 1)).scale(const)
+        return wedge(av, w.scale(sa ** (n - 1)))
 
     return KernelEvaluator(f"Kq[q={q}]", n, ev, q)
 
@@ -428,17 +436,17 @@ def lq_main(model: DomainModel, q: int) -> KernelEvaluator:
         pair = model.geo_pair(zeta, z)
         g, phib, P = pair.gamma, np.conj(pair.phi), pair.big_p
         lb = lbar_rho2(model, zeta, z, np.linalg.inv(Uz))
+        coef = cnq * g * sum(comb(n - 2 - mu, q) / (phib ** (mu + 1) * P ** (n - mu - 1))
+                             for mu in range(0, n - q - 1))
         out = DoubleForm.zero(n, frame=(ADAPTED, ADAPTED))
-        for mu in range(0, n - q - 1):
-            coef = cnq * comb(n - 2 - mu, q) / (phib ** (mu + 1) * P ** (n - mu - 1)) * g
-            for j in range(1, n):
-                base = DoubleForm.monomial(n, az=(n,), value=coef * lb[j - 1],
-                                           frame=(ADAPTED, ADAPTED))
-                base = wedge(base, DoubleForm.monomial(n, az=(j,), frame=(ADAPTED, ADAPTED)))
-                for L in combinations(range(1, n), q):
-                    t = wedge(base, DoubleForm.monomial(n, az=L, frame=(ADAPTED, ADAPTED)))
-                    t = wedge(t, DoubleForm.monomial(n, hw=L, frame=(ADAPTED, ADAPTED)))
-                    out = out + t
+        for j in range(1, n):
+            base = DoubleForm.monomial(n, az=(n,), value=coef * lb[j - 1],
+                                       frame=(ADAPTED, ADAPTED))
+            base = wedge(base, DoubleForm.monomial(n, az=(j,), frame=(ADAPTED, ADAPTED)))
+            for L in combinations(range(1, n), q):
+                t = wedge(base, DoubleForm.monomial(n, az=L, frame=(ADAPTED, ADAPTED)))
+                t = wedge(t, DoubleForm.monomial(n, hw=L, frame=(ADAPTED, ADAPTED)))
+                out = out + t
         out = forms.change_frame_zeta(out, Uz, COORD)
         return forms.change_frame_z(out, Uw, COORD)
 
@@ -508,16 +516,13 @@ def h_l_main(model: DomainModel, q: int, L: tuple[int, ...]) -> KernelEvaluator:
                 t = wedge(t, adapted_monomial(n, az=Q))
                 out = out + t
         else:
+            s = sum(comb(n - mu - 2, q) * g ** 2 * (mu + 1) / (phib ** (mu + 2) * P ** (n - mu - 1))
+                    for mu in range(0, n - q - 1))
+            s += 2 * comb(n - 2, q) * (n - 1) * (g / gs) * phi / (phib * P ** n)
             for j in range(1, n):
                 if j in L:
                     continue
-                s = 0.0 + 0.0j
-                for mu in range(0, n - q - 1):
-                    s += (comb(n - mu - 2, q) * g ** 2 * (mu + 1) * lb[j - 1]
-                          / (phib ** (mu + 2) * P ** (n - mu - 1)))
-                s += (2 * comb(n - 2, q) * (n - 1) * (g / gs)
-                      * phi * lb[j - 1] / (phib * P ** n))
-                t = adapted_monomial(n, az=(j,), value=-cnq * s)
+                t = adapted_monomial(n, az=(j,), value=-cnq * s * lb[j - 1])
                 t = wedge(t, adapted_monomial(n, az=L))
                 out = out + t
             cb = (2.0 ** (n - 2)) / (2 * pi) ** n * factorial(n - 1) * 4.0 * phi / (P ** n * g)

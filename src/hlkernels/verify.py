@@ -119,6 +119,21 @@ class CheckResult:
                 "pass" if self.passed else "FAIL"]
 
 
+def _rate_check(suite: str, check: str, ts, mains, diffs,
+                exact_tol: float | None = None) -> CheckResult:
+    """The difference series must decay at least `rate_gap` faster than the
+    main series.  With exact_tol, a difference at roundoff relative to the
+    main series passes as exact (`slope_or_exact`), and the details say so."""
+    sm, _ = slope_fit(ts, mains)
+    need = sm + THRESHOLDS["rate_gap"]
+    if exact_tol is None:
+        sd, _ = slope_fit(ts, diffs)
+        return CheckResult(suite, check, sd >= need, sd, need, {"main_slope": sm})
+    sd, exact = slope_or_exact(ts, diffs, mains, tol=exact_tol)
+    return CheckResult(suite, check, exact or sd >= need, sd, need,
+                       {"main_slope": sm, "exact": exact})
+
+
 BASE_POINT_TRIES = 1000
 
 
@@ -296,19 +311,7 @@ def suite_lemmalq(model: DomainModel, n: int, q: int, seed: int,
         ts.append(t)
         mains.append(b.norm())
         diffs.append((a - b).norm())
-    sm, _ = slope_fit(ts, mains)
-    sd, _ = slope_fit(ts, diffs)
-    return [CheckResult("lemmalq", "definition-vs-main-rate", sd >= sm + THRESHOLDS["rate_gap"],
-                        sd, sm + THRESHOLDS["rate_gap"], {"main_slope": sm})]
-
-
-def _h_numeric_theta(model, q, zeta, z, L):
-    """Theta^L coefficient of vartheta L_q - del_z L_{q-1}, adapted z frame."""
-    hn = kernels.h_numeric(model, q)
-    v = hn.eval(zeta, z)
-    Uw = model.frame(z)
-    vad = forms.change_frame_z(v, Uw, forms.ADAPTED)
-    return kernels.theta_coefficient(vad, L)
+    return [_rate_check("lemmalq", "definition-vs-main-rate", ts, mains, diffs)]
 
 
 def suite_dgh(model: DomainModel, n: int, q: int, seed: int,
@@ -333,18 +336,17 @@ def suite_dgh(model: DomainModel, n: int, q: int, seed: int,
             ts.append(t)
             mains.append(b.norm())
             diffs.append((a - b).norm())
-        sm, _ = slope_fit(ts, mains)
-        sd, exact = slope_or_exact(ts, diffs, mains, tol=1e-9)
         case = "nQ" if n in L else "ab"
-        out.append(CheckResult("dgh", f"dbar-G-vs-H-{case}-L={''.join(map(str, L))}",
-                               exact or sd >= sm + THRESHOLDS["rate_gap"], sd,
-                               sm + THRESHOLDS["rate_gap"],
-                               {"main_slope": sm, "exact": exact}))
-    # case c: numeric homotopy components on omega-bar^{nJ}, J != L
+        out.append(_rate_check("dgh", f"dbar-G-vs-H-{case}-L={''.join(map(str, L))}",
+                               ts, mains, diffs, exact_tol=1e-9))
+    # case c: numeric homotopy components on omega-bar^{nJ}, J != L, from
+    # the Theta^L coefficient of vartheta L_q - del_z L_{q-1}
     L = tuple(j for j in range(1, q + 1))     # n not in L
+    hn = kernels.h_numeric(model, q)
     ts, mains, offs = [], [], []
     for t, zeta, z in pairs:
-        hv = _h_numeric_theta(model, q, zeta, z, L)
+        v = forms.change_frame_z(hn.eval(zeta, z), model.frame(z), forms.ADAPTED)
+        hv = kernels.theta_coefficient(v, L)
         Uz = model.frame(zeta)
         had = forms.change_frame_zeta(hv, Uz, forms.ADAPTED)
         full = had.norm()
@@ -353,11 +355,8 @@ def suite_dgh(model: DomainModel, n: int, q: int, seed: int,
         ts.append(t)
         mains.append(full)
         offs.append(case_c.norm())
-    sm, _ = slope_fit(ts, mains)
-    sd, exact = slope_or_exact(ts, offs, mains)
-    out.append(CheckResult("dgh", "case-c-components-small",
-                           exact or sd >= sm + THRESHOLDS["rate_gap"],
-                           sd, sm + THRESHOLDS["rate_gap"], {"main_slope": sm}))
+    out.append(_rate_check("dgh", "case-c-components-small", ts, mains, offs,
+                           exact_tol=1e-12))
     return out
 
 
@@ -391,21 +390,9 @@ def suite_nkern(model: DomainModel, n: int, q: int, seed: int,
         nv = nk.eval(zeta, z)
         main3.append(nv.norm())
         diff3.append((nv - nadj.eval(zeta, z)).norm())
-    out = []
-    sm, _ = slope_fit(ts, main1)
-    sd, _ = slope_fit(ts, diff1)
-    gap = THRESHOLDS["rate_gap"]
-    out.append(CheckResult("nkern", "dbar-N-vs-T-rate", sd >= sm + gap, sd, sm + gap,
-                           {"main_slope": sm}))
-    sm, _ = slope_fit(ts, main2)
-    sd, _ = slope_fit(ts, diff2)
-    out.append(CheckResult("nkern", "vartheta-N-vs-Tprev-adj-rate", sd >= sm + gap,
-                           sd, sm + gap,
-                           {"main_slope": sm}))
-    sm, _ = slope_fit(ts, main3)
-    sd, exact = slope_or_exact(ts, diff3, main3, tol=1e-9)
-    out.append(CheckResult("nkern", "N-symmetry-rate", exact or sd >= sm + gap,
-                           sd, sm + gap, {"main_slope": sm, "exact": exact}))
+    out = [_rate_check("nkern", "dbar-N-vs-T-rate", ts, main1, diff1),
+           _rate_check("nkern", "vartheta-N-vs-Tprev-adj-rate", ts, main2, diff2),
+           _rate_check("nkern", "N-symmetry-rate", ts, main3, diff3, exact_tol=1e-9)]
     # boundary condition: normal components decay along the inward normal
     zeta0 = model.project_boundary(base)
     nu_in = model.inward_normal(zeta0)

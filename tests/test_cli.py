@@ -181,6 +181,19 @@ def test_ratio_nq_out_of_range(tmp_path, capsys, n, q):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["--s", "0"], ["--s", "-2"], ["--resolutions", "0"], ["--resolutions", "4,-1"],
+    ["--kernel", "Nq", "--p", "0"], ["--kernel", "E", "--n", "2", "--q", "0", "--p", "0"],
+    ["--p", "nan"], ["--trials", "0"]])
+def test_ratio_bad_numbers_are_usage_errors(tmp_path, capsys, args):
+    if "--kernel" not in args:
+        args = ["--kernel", "Nq"] + args
+    code = run(["ratio", *args, "--out", str(tmp_path / "o")])
+    assert "ratio needs p, s, trials and every resolution >= 1" in (
+        _one_line_usage_error(code, capsys))
+    assert not (tmp_path / "o").exists()
+
+
 def test_domain_error_is_a_usage_error(tmp_path, capsys, monkeypatch):
     from hlkernels import domain, quad
 

@@ -127,33 +127,45 @@ def _model_id(model):
 @pytest.mark.parametrize("depth", sorted(JET_DEPTHS))
 @pytest.mark.parametrize("model", JET_MODELS, ids=_model_id)
 def test_alpha_jet_matches_oracle(model, depth):
+    """The jet against the finite-difference dbar alpha, modulo alpha:
+    alpha ^ dbar alpha = (xi / Phi) alpha ^ Omega(H), the identity C_q and
+    K_q rest on."""
     zeta, z = _pair_at_depth(model, JET_DEPTHS[depth])
-    xi, dxi_dr = model.xi_jet(zeta)
-    assert (xi == 1.0, dxi_dr != 0.0, xi == 0.0) == (depth == "xi=1", depth == "band",
+    xi = model.xi_patch(zeta)
+    assert (xi == 1.0, 0.0 < xi < 1.0, xi == 0.0) == (depth == "xi=1", depth == "band",
                                                        depth == "xi=0")
     al = kernels.alpha(model)
-    a, da = kernels.alpha_jet(model, zeta, z)
-    want = kernels.kernel_derivative(al, "dbar", "zeta").eval(zeta, z)
-    got = kernels._jet_dbar(model.n, "az", da)
+    a, s = kernels.alpha_jet(model, zeta, z)
+    dal = kernels.kernel_derivative(al, "dbar", "zeta").eval(zeta, z)
     if depth == "xi=0":
-        assert want.is_zero() and got.is_zero() and not a.any()
+        assert dal.is_zero() and s == 0.0 and not a.any()
         return
+    assert s == pytest.approx(xi / model.phi(zeta, z), rel=1e-14)
+    av = al.eval(zeta, z)
+    want = forms.wedge(av, dal)
+    got = forms.wedge(av, kernels._jet_dbar(model.n, "az", model.levi_const)).scale(s)
     assert _rel(got, want) < 1e-7
     # alpha is holomorphic in z: the oracle's dbar_z is roundoff against dbar_zeta
     dz = kernels.kernel_derivative(al, "dbar", "z").eval(zeta, z)
-    assert dz.norm() < 1e-7 * want.norm()
+    assert dz.norm() < 1e-7 * dal.norm()
 
 
 @pytest.mark.parametrize("depth", sorted(JET_DEPTHS))
 @pytest.mark.parametrize("model", JET_MODELS, ids=_model_id)
 def test_beta_jet_matches_oracle(model, depth):
+    """The jet against the finite-difference dbar beta, modulo beta:
+    beta ^ dbar_zeta beta = (2 / rho^2) beta ^ Omega(H^T) and
+    beta ^ dbar_z beta = -(2 / rho^2) beta ^ Omega_z(H^T)."""
     zeta, z = _pair_at_depth(model, JET_DEPTHS[depth])
     be = kernels.beta(model)
-    _, db = kernels.beta_jet(model, zeta, z)
-    n = model.n
-    for var, slot, d in (("zeta", "az", db), ("z", "aw", -db)):
-        want = kernels.kernel_derivative(be, "dbar", var).eval(zeta, z)
-        assert _rel(kernels._jet_dbar(n, slot, d), want) < 1e-7
+    _, s = kernels.beta_jet(model, zeta, z)
+    assert s == pytest.approx(2.0 / model.rho2(zeta, z), rel=1e-14)
+    bv = be.eval(zeta, z)
+    n, ht = model.n, model.levi_const.T
+    for var, slot, m in (("zeta", "az", ht), ("z", "aw", -ht)):
+        want = forms.wedge(bv, kernels.kernel_derivative(be, "dbar", var).eval(zeta, z))
+        got = forms.wedge(bv, kernels._jet_dbar(n, slot, m)).scale(s)
+        assert _rel(got, want) < 1e-7
 
 
 def _fd_cq(model, q, zeta, z):
@@ -529,3 +541,82 @@ def test_lq_main_matches_definition_at_sample():
     a = kernels.lq(BALL3, 1).eval(z1, z2)
     b = kernels.lq_main(BALL3, 1).eval(z1, z2)
     assert (a - b).norm() < 0.25 * b.norm()
+
+
+# Printed main terms at the seed-0 parabolic pair t = 2^-5: the norm and the
+# largest coefficient, as the term-by-term sum over mu gives them.
+# (domain, n, q): (norm, key, coefficient at key)
+LQ_MAIN_FROZEN = {
+    ("ball", 3, 0): (96877.81916746218, ((), (1, 3), (), ()),
+        (70007.07683441111+44506.26514168745j)),
+    ("ball", 3, 1): (53727.61161974598, ((), (1, 2, 3), (2,), ()),
+        (-38758.90455033485-24427.169053680227j)),
+    ("ball", 4, 0): (42737346.25488915, ((), (3, 4), (), ()),
+        (-13642081.966728747+21229966.190620787j)),
+    ("ball", 4, 1): (34601780.06435121, ((), (1, 3, 4), (1,), ()),
+        (-7817296.593749091+12165367.631722366j)),
+    ("ball", 4, 2): (17457029.330154344, ((), (1, 2, 3, 4), (1, 3), ()),
+        (-4253471.506383616-9408145.902196463j)),
+    ("pinched", 3, 0): (102190.25748102533, ((), (1, 2), (), ()),
+        (60964.65982146195-25183.123419821644j)),
+    ("pinched", 3, 1): (50166.472881993745, ((), (1, 2, 3), (3,), ()),
+        (27560.258577729717-13713.046396883463j)),
+    ("pinched", 4, 0): (41673396.573733725, ((), (2, 4), (), ()),
+        (-7981424.723620689-19904819.712385803j)),
+    ("pinched", 4, 1): (34487640.11812817, ((), (1, 2, 4), (1,), ()),
+        (-4617949.502741449-11617974.440180892j)),
+    ("pinched", 4, 2): (17592887.63206227, ((), (1, 2, 3, 4), (1, 3), ()),
+        (3288327.4206438344+8201349.2152301995j)),
+}
+# (domain, n, q, L): (norm, key, coefficient at key)
+H_L_MAIN_FROZEN = {
+    ("ball", 3, 1, (1,)): (12905961.791514097, ((), (1, 2), (), ()),
+        (8553677.82065247+948228.9788621487j)),
+    ("ball", 3, 1, (3,)): (267852.9880100796, ((), (1, 3), (), ()),
+        (-193559.31907936925-123053.30782439536j)),
+    ("ball", 4, 1, (1,)): (12776544653.650078, ((), (1, 3), (), ()),
+        (-9726209270.43388-886804391.9875993j)),
+    ("ball", 4, 1, (4,)): (130545095.72159342, ((), (3, 4), (), ()),
+        (41670975.20672016-64848854.956774j)),
+    ("ball", 4, 2, (1, 2)): (5555105806.337241, ((), (1, 2, 3), (), ()),
+        (4266777920.2749486+461597621.95007807j)),
+    ("ball", 4, 2, (3, 4)): (84361488.48101145, ((), (2, 3, 4), (), ()),
+        (29691282.315950748+71841987.20227727j)),
+    ("pinched", 3, 1, (1,)): (16292814.050691193, ((), (2, 3), (), ()),
+        (-10482209.044787087-5133918.751750987j)),
+    ("pinched", 3, 1, (3,)): (268605.43750398123, ((), (1, 2), (), ()),
+        (-153961.92476506156+79722.23585959482j)),
+    ("pinched", 4, 1, (1,)): (12768369812.136478, ((), (2, 4), (), ()),
+        (-5174684977.168765-5342881844.952215j)),
+    ("pinched", 4, 1, (4,)): (130529917.59678958, ((), (2, 4), (), ()),
+        (24374026.312931083+62593298.05684844j)),
+    ("pinched", 4, 2, (1, 2)): (3721998611.916314, ((), (2, 3, 4), (), ()),
+        (2469584036.0526495+1248991782.0020785j)),
+    ("pinched", 4, 2, (3, 4)): (112770520.96579657, ((), (2, 3, 4), (), ()),
+        (-23519838.96633959-69754603.27313429j)),
+}
+
+
+def _frozen_pair(model):
+    path = verify.PathSpec(model, verify._base_point(model, 0), "parabolic", (2.0 ** -5,), 0)
+    return path.pairs()[0][1:]
+
+
+def _assert_frozen(v, frozen):
+    norm, key, coeff = frozen
+    assert v.norm() == pytest.approx(norm, rel=1e-12, abs=0)
+    assert abs(v.component(key) - coeff) <= 1e-12 * abs(coeff)
+
+
+@pytest.mark.parametrize("name,n,q", sorted(LQ_MAIN_FROZEN))
+def test_lq_main_frozen_values(name, n, q):
+    model = domain.make_domain(name, n)
+    v = kernels.lq_main(model, q).eval(*_frozen_pair(model))
+    _assert_frozen(v, LQ_MAIN_FROZEN[name, n, q])
+
+
+@pytest.mark.parametrize("name,n,q,L", sorted(H_L_MAIN_FROZEN))
+def test_h_l_main_frozen_values(name, n, q, L):
+    model = domain.make_domain(name, n)
+    v = kernels.h_l_main(model, q, L).eval(*_frozen_pair(model))
+    _assert_frozen(v, H_L_MAIN_FROZEN[name, n, q, L])
