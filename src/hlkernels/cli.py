@@ -21,6 +21,7 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 DOMAINS = ("ball", "pinched")
+DERIVE_PARTS = {"mainint": ("i", "ii", "iii"), "intmain": ("N", "dbarN", "dbarstarN")}
 # Type of each configuration value; an int is accepted where a float is.
 CONFIG_TYPES = {"domain": str, "n": int, "q": int, "seed": int,
                 "eps": float, "delta": float, "out": str}
@@ -141,16 +142,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_derive(args) -> int:
-    out = _outdir(_load_config(args))
     kind = args.kind
-    if kind == "mainint":
-        key = args.part
-    else:
-        key = {"N": "N", "dbarN": "dbarN", "dbarstarN": "dbarstarN"}.get(args.part)
-        if key is None:
-            print("intmain parts: N | dbarN | dbarstarN", file=sys.stderr)
-            return EXIT_USAGE
-    transcript = zalg.transcript_json(key, args.j)
+    if args.part not in DERIVE_PARTS[kind]:
+        raise ValueError(f"{kind} parts: {' | '.join(DERIVE_PARTS[kind])}; got {args.part!r}")
+    out = _outdir(_load_config(args))
+    transcript = zalg.transcript_json(args.part, args.j)
     path = out / f"derive_{kind}_{args.part}_{args.j}.json"
     path.write_text(transcript)
     data = json.loads(transcript)
@@ -229,9 +225,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("derive", help="symbolic derivation transcript")
     common(p)
-    p.add_argument("--kind", choices=["mainint", "intmain"], required=True)
-    p.add_argument("--part", required=True,
-                   help="mainint: i|ii|iii; intmain: N|dbarN|dbarstarN")
+    p.add_argument("--kind", choices=list(DERIVE_PARTS), required=True)
+    p.add_argument("--part", required=True, help="; ".join(
+        f"{kind}: {'|'.join(parts)}" for kind, parts in DERIVE_PARTS.items()))
     p.add_argument("--j", type=int, required=True)
     p.set_defaults(func=cmd_derive)
 
@@ -257,7 +253,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, OSError, DomainError, kernels.KernelError, verify.VerifyError,
-            quad.QuadError) as e:
+            quad.QuadError, zalg.ZalgError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

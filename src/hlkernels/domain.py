@@ -119,10 +119,8 @@ class DomainModel:
         """Holomorphic gradient dr/dzeta_j at one point (n,) or per row (P, n)."""
         return self._grad_r(zeta)[0]
 
-    def jet(self, zeta: np.ndarray, order: int = 4) -> Jet:
-        """Exact derivatives of r at zeta, holomorphic type up to `order`."""
-        if order > 4:
-            raise DomainError("jets supported to order 4")
+    def jet(self, zeta: np.ndarray) -> Jet:
+        """Exact derivatives of r at zeta: all of order three and up vanish."""
         grad, r = self._grad_r(zeta)
         return Jet(value=r, grad=grad, levi=self.levi_const.copy(), hol2=2 * self.hol2_const)
 
@@ -280,7 +278,6 @@ class DomainModel:
         return GeoPair(
             model=self, zeta=zeta, z=z, r=r, r_star=r_s, grad=grad,
             gamma=g, gamma_star=g_s, rho2=rho2, f=f, phi=f - r,
-            phi_star=np.conj(self._support(grad_s, -d) - r_s),
             big_p=rho2 + 2.0 * (r / g) * (r_s / g_s),
         )
 
@@ -372,5 +369,4 @@ class GeoPair:
     rho2: float
     f: complex
     phi: complex
-    phi_star: complex
     big_p: float

@@ -1,13 +1,14 @@
 """Explicit integral kernels on a model domain and their derivative operators.
 
 Every evaluator is a pure function (zeta, z) -> DoubleForm in the coordinate
-frame.  Exact jets are used inside the scalar building blocks (rho^2, the
-support function, the extended distance) and for the dbar factors of alpha
-and beta, modulo the form itself: a scalar times a constant form.  So C_q and
-K_q are closed-form, a scalar mu-series times constant forms built once per
-kernel; kernel-level dbar / del / vartheta operators use central finite
-differences with one Richardson level, so the error orders are measurable and
-controlled per path.
+frame, except the printed first-order system `gq` / `hq_main`, whose z slots
+carry the adapted label L of Theta^L (frame (COORD, ADAPTED)).  Exact jets
+are used inside the scalar building blocks (rho^2, the support function, the
+extended distance) and for the dbar factors of alpha and beta, modulo the
+form itself: a scalar times a constant form.  So C_q and K_q are closed-form,
+a scalar mu-series times constant forms built once per kernel; kernel-level
+dbar / del / vartheta operators use central finite differences with one
+Richardson level, so the error orders are measurable and controlled per path.
 """
 
 from __future__ import annotations
@@ -38,7 +39,8 @@ class StepTooLarge(KernelError):
 
 @dataclass(frozen=True)
 class KernelEvaluator:
-    """Named pure kernel (zeta, z) -> DoubleForm, coordinate frame."""
+    """Named pure kernel (zeta, z) -> DoubleForm, coordinate frame; the z
+    slots of `gq` and `hq_main` are adapted."""
 
     id: str
     n: int
@@ -107,10 +109,11 @@ def _one_form(n: int, c: np.ndarray) -> DoubleForm:
 
 def _differential(n: int, slot: str, parts) -> DoubleForm:
     """sum_k dv_k ^ parts[k], dv_k the coordinate differential in the
-    DoubleForm.monomial slot `slot`; forms.wedge holds the sign convention."""
-    out = DoubleForm.zero(n)
+    DoubleForm.monomial slot `slot`, in the parts' frame; forms.wedge holds
+    the sign convention."""
+    out = DoubleForm.zero(n, parts[0].frame)
     for k, part in enumerate(parts, start=1):
-        out = out + wedge(DoubleForm.monomial(n, **{slot: (k,)}), part)
+        out = out + wedge(DoubleForm.monomial(n, **{slot: (k,)}, frame=part.frame), part)
     return out
 
 
@@ -178,12 +181,15 @@ _DERIVATIVES = {
 def kernel_derivative(k: KernelEvaluator, op: str, var: str) -> KernelEvaluator:
     """op = "dbar" or "del" of a kernel in var = "zeta" or "z": the sum over j
     of d(var)bar_j ^ dK/d(var)bar_j, or of d(var)_j ^ dK/d(var)_j, by central
-    differences with one Richardson level and step FD_REL_STEP * |zeta - z|."""
+    differences with one Richardson level and step FD_REL_STEP * |zeta - z|.
+    The slots of var must be in coordinates; the other variable's slots may
+    be adapted, since the coframe at the fixed point does not move."""
     try:
         prefix, slot = _DERIVATIVES[(op, var)]
     except KeyError:
         raise KernelError(f"unknown derivative {op!r} in {var!r}") from None
     n = k.n
+    side = 0 if var == "zeta" else 1
 
     def ev(zeta, z):
         h = _fd_scale(zeta, z)
@@ -193,8 +199,8 @@ def kernel_derivative(k: KernelEvaluator, op: str, var: str) -> KernelEvaluator:
             dx = _directional(k.eval, base, other, j, 1.0, h, var)
             dy = _directional(k.eval, base, other, j, 1.0j, h, var).scale(1.0j)
             der = (dx + dy if op == "dbar" else dx - dy).scale(0.5)
-            if der.frame != forms.COORD_FRAME:
-                raise KernelError("derivative operators require coordinate-frame values")
+            if der.frame[side] != COORD:
+                raise KernelError(f"a derivative in {var} needs coordinate {var} slots")
             parts.append(der)
         return _differential(n, slot, parts)
 
@@ -425,6 +431,17 @@ def lbar_rho2(model: DomainModel, zeta, z, U_inv: np.ndarray) -> np.ndarray:
     return np.array([np.conj(U_inv[:, j]) @ db for j in range(model.n)])
 
 
+def _put_adapted(coeffs: dict, value, labels, L) -> None:
+    """Store value omegabar^labels[0] ^ ... ^ Theta^L as one coefficient, signed
+    by the rule of `forms.wedge`; nothing where two labels meet."""
+    sign, az = 1, ()
+    for idx in labels:
+        s, az = forms.merge_sign(az, idx)
+        sign *= s
+    if sign:
+        coeffs[((), az, L, ())] = sign * value
+
+
 def lq_main(model: DomainModel, q: int) -> KernelEvaluator:
     """Printed main term of L_q in the adapted frames."""
     n = model.n
@@ -438,65 +455,47 @@ def lq_main(model: DomainModel, q: int) -> KernelEvaluator:
         lb = lbar_rho2(model, zeta, z, np.linalg.inv(Uz))
         coef = cnq * g * sum(comb(n - 2 - mu, q) / (phib ** (mu + 1) * P ** (n - mu - 1))
                              for mu in range(0, n - q - 1))
-        out = DoubleForm.zero(n, frame=(ADAPTED, ADAPTED))
+        coeffs = {}
         for j in range(1, n):
-            base = DoubleForm.monomial(n, az=(n,), value=coef * lb[j - 1],
-                                       frame=(ADAPTED, ADAPTED))
-            base = wedge(base, DoubleForm.monomial(n, az=(j,), frame=(ADAPTED, ADAPTED)))
             for L in combinations(range(1, n), q):
-                t = wedge(base, DoubleForm.monomial(n, az=L, frame=(ADAPTED, ADAPTED)))
-                t = wedge(t, DoubleForm.monomial(n, hw=L, frame=(ADAPTED, ADAPTED)))
-                out = out + t
-        out = forms.change_frame_zeta(out, Uz, COORD)
-        return forms.change_frame_z(out, Uw, COORD)
+                _put_adapted(coeffs, coef * lb[j - 1], ((n,), (j,), L), L)
+        return forms.to_coord(DoubleForm(n, coeffs, (ADAPTED, ADAPTED)), Uz, Uw)
 
     return KernelEvaluator(f"Lq_main[q={q}]", n, ev, q, claimed_type=2)
 
 
-def adapted_monomial(n: int, az=(), hw=(), value=1.0) -> DoubleForm:
-    """Monomial with adapted zeta slots; the z tag stays coordinate unless
-    z slots are present."""
-    zf = ADAPTED if hw else COORD
-    return DoubleForm.monomial(n, az=az, hw=hw, value=value, frame=(ADAPTED, zf))
-
-
-def g_l(model: DomainModel, q: int, L: tuple[int, ...]) -> KernelEvaluator:
-    """Printed solution form of the first-order system, for one index set L.
-
-    Returns the omega-bar coefficient form of Theta^L as a (0, q) zeta-form.
-    """
+def gq(model: DomainModel, q: int) -> KernelEvaluator:
+    """Printed solution forms of the first-order system dbar G_L = H_L, as
+    sum_L G_L ^ Theta^L over the q-subsets L: (0, q) zeta-forms in
+    coordinates, with the z slots carrying the adapted label L."""
     n = model.n
     if q < 1:
         # the weight divides by n - mu - 2, which is 0 at mu = n - 2
         raise KernelError(f"G_L needs q >= 1, got q={q}")
-    if len(L) != q:
-        raise KernelError(f"|L| != q: {L} vs {q}")
     cnq = coefficient_c(n, q)
+    const = -(2.0 ** (n - 1)) * factorial(n - 2) / (2 * pi) ** n
+    all_L = list(combinations(range(1, n + 1), q))
 
     def ev(zeta, z):
         Uz = model.frame(zeta)
         pair = model.geo_pair(zeta, z)
         P = pair.big_p
-        if n in L:
-            const = -(2.0 ** (n - 1)) * factorial(n - 2) / (2 * pi) ** n
-            # omega-bar^{nQ} written with n first equals (-1)^{|Q|} sorted order
-            val = const * P ** (1 - n) * (-1.0) ** (len(L) - 1)
-            out = adapted_monomial(n, az=tuple(sorted(L)), value=val)
-        else:
-            s = neumann_tangential_scalar(n, q, pair.gamma, pair.gamma_star, pair.phi, P)
-            out = adapted_monomial(n, az=tuple(sorted(L)), value=cnq * s)
-        return forms.change_frame_zeta(out, Uz, COORD)
+        # omega-bar^{nQ} written with n first equals (-1)^{|Q|} sorted order
+        val_n = const * P ** (1 - n) * (-1.0) ** (q - 1)
+        s = neumann_tangential_scalar(n, q, pair.gamma, pair.gamma_star, pair.phi, P)
+        coeffs = {((), L, L, ()): val_n if n in L else cnq * s for L in all_L}
+        return forms.change_frame_zeta(DoubleForm(n, coeffs, (ADAPTED, ADAPTED)), Uz, COORD)
 
-    return KernelEvaluator(f"G_L[q={q},L={L}]", n, ev, q, claimed_type=2)
+    return KernelEvaluator(f"Gq[q={q}]", n, ev, q, claimed_type=2)
 
 
-def h_l_main(model: DomainModel, q: int, L: tuple[int, ...]) -> KernelEvaluator:
-    """Printed main terms of the Theta^L coefficient of
-    vartheta L_q - d_z L_{q-1}, as a (0, q+1) zeta-form."""
+def hq_main(model: DomainModel, q: int) -> KernelEvaluator:
+    """Printed main terms of vartheta L_q - d_z L_{q-1} as sum_L H_L ^ Theta^L
+    over the q-subsets L: (0, q+1) zeta-forms in coordinates, with the z
+    slots carrying the adapted label L."""
     n = model.n
-    if len(L) != q:
-        raise KernelError(f"|L| != q: {L} vs {q}")
     cnq = coefficient_c(n, q)
+    all_L = list(combinations(range(1, n + 1), q))
 
     def ev(zeta, z):
         Uz = model.frame(zeta)
@@ -504,34 +503,23 @@ def h_l_main(model: DomainModel, q: int, L: tuple[int, ...]) -> KernelEvaluator:
         g, gs, phi, P = pair.gamma, pair.gamma_star, pair.phi, pair.big_p
         phib = np.conj(phi)
         lb = lbar_rho2(model, zeta, z, np.linalg.inv(Uz))
-        out = DoubleForm.zero(n, frame=(ADAPTED, COORD))
-        if n in L:
-            Q = tuple(j for j in L if j != n)
-            const = -(2.0 ** (n - 1)) / (2 * pi) ** n * factorial(n - 1) / P ** n
-            for j in range(1, n):
-                if j in Q:
-                    continue
-                t = adapted_monomial(n, az=(n,), value=const * lb[j - 1])
-                t = wedge(t, adapted_monomial(n, az=(j,)))
-                t = wedge(t, adapted_monomial(n, az=Q))
-                out = out + t
-        else:
-            s = sum(comb(n - mu - 2, q) * g ** 2 * (mu + 1) / (phib ** (mu + 2) * P ** (n - mu - 1))
-                    for mu in range(0, n - q - 1))
-            s += 2 * comb(n - 2, q) * (n - 1) * (g / gs) * phi / (phib * P ** n)
-            for j in range(1, n):
-                if j in L:
-                    continue
-                t = adapted_monomial(n, az=(j,), value=-cnq * s * lb[j - 1])
-                t = wedge(t, adapted_monomial(n, az=L))
-                out = out + t
-            cb = (2.0 ** (n - 2)) / (2 * pi) ** n * factorial(n - 1) * 4.0 * phi / (P ** n * g)
-            t = adapted_monomial(n, az=(n,), value=cb)
-            t = wedge(t, adapted_monomial(n, az=L))
-            out = out + t
-        return forms.change_frame_zeta(out, Uz, COORD)
+        const = -(2.0 ** (n - 1)) / (2 * pi) ** n * factorial(n - 1) / P ** n
+        s = sum(comb(n - mu - 2, q) * g ** 2 * (mu + 1) / (phib ** (mu + 2) * P ** (n - mu - 1))
+                for mu in range(0, n - q - 1))
+        s += 2 * comb(n - 2, q) * (n - 1) * (g / gs) * phi / (phib * P ** n)
+        cb = (2.0 ** (n - 2)) / (2 * pi) ** n * factorial(n - 1) * 4.0 * phi / (P ** n * g)
+        coeffs = {}
+        for L in all_L:
+            if n in L:
+                for j in range(1, n):
+                    _put_adapted(coeffs, const * lb[j - 1], ((n,), (j,), L[:-1]), L)
+            else:
+                for j in range(1, n):
+                    _put_adapted(coeffs, -cnq * s * lb[j - 1], ((j,), L), L)
+                _put_adapted(coeffs, cb, ((n,), L), L)
+        return forms.change_frame_zeta(DoubleForm(n, coeffs, (ADAPTED, ADAPTED)), Uz, COORD)
 
-    return KernelEvaluator(f"H_L[q={q},L={L}]", n, ev, q, claimed_type=1)
+    return KernelEvaluator(f"Hq_main[q={q}]", n, ev, q, claimed_type=1)
 
 
 # -- principal Neumann kernel -----------------------------------------------------
@@ -628,7 +616,7 @@ def nq(model: DomainModel, q: int) -> KernelEvaluator:
 
 def theta_coefficient(f: DoubleForm, L: tuple[int, ...]) -> DoubleForm:
     """Extract the zeta-form coefficient of Theta^L from a kernel value whose
-    z slots are already in the adapted frame."""
+    z slots are already in the adapted frame, such as `gq` and `hq_main`."""
     out = {}
     for (a, b, c, d), v in f.coeffs.items():
         if c == tuple(sorted(L)) and d == ():

@@ -9,6 +9,7 @@ for finite-difference kernel claims.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -196,14 +197,9 @@ def suite_lphi(model: DomainModel, n: int, q: int, seed: int,
         vals = [abs(V[:, j] @ dphi) for j in range(n - 1)]
         lam_tan.append(max(vals))
         # dbar_z Phi by central differences: exact holomorphy
-        h = 1e-5
         worst = 0.0
         for k in range(n):
-            e = np.zeros(n, dtype=complex)
-            e[k] = 1.0
-            dx = (model.phi(zeta, z + h * e) - model.phi(zeta, z - h * e)) / (2 * h)
-            dy = (model.phi(zeta, z + 1j * h * e) - model.phi(zeta, z - 1j * h * e)) / (2 * h)
-            worst = max(worst, abs(0.5 * (dx + 1j * dy)))
+            worst = max(worst, abs(_wirtinger_fd(lambda w: model.phi(zeta, w), z, k, 1e-5)[1]))
         dbarz.append(worst)
     out = []
     s, _ = slope_fit(ts, lam_n)
@@ -323,19 +319,17 @@ def suite_dgh(model: DomainModel, n: int, q: int, seed: int,
     path = PathSpec(model, base, "parabolic", tuple(t_grid), seed)
     pairs = path.pairs()
     out = []
-    import itertools
-    all_L = list(itertools.combinations(range(1, n + 1), q))
-    for L in all_L:
-        gl = kernels.g_l(model, q, L)
-        hl = kernels.h_l_main(model, q, L)
-        dgl = kernels.kernel_derivative(gl, "dbar", "zeta")
+    # one dbar G and one H per pair; each L line reads its Theta^L coefficient
+    dg = kernels.kernel_derivative(kernels.gq(model, q), "dbar", "zeta")
+    hk = kernels.hq_main(model, q)
+    values = [(t, dg.eval(zeta, z), hk.eval(zeta, z)) for t, zeta, z in pairs]
+    for L in combinations(range(1, n + 1), q):
         ts, mains, diffs = [], [], []
-        for t, zeta, z in pairs:
-            a = dgl.eval(zeta, z)
-            b = hl.eval(zeta, z)
+        for t, dgv, hv in values:
+            b = kernels.theta_coefficient(hv, L)
             ts.append(t)
             mains.append(b.norm())
-            diffs.append((a - b).norm())
+            diffs.append((kernels.theta_coefficient(dgv, L) - b).norm())
         case = "nQ" if n in L else "ab"
         out.append(_rate_check("dgh", f"dbar-G-vs-H-{case}-L={''.join(map(str, L))}",
                                ts, mains, diffs, exact_tol=1e-9))
@@ -475,19 +469,23 @@ def suite_lp_morse(model: DomainModel, n: int, q: int, seed: int,
     ]
 
 
+def _wirtinger_fd(f, z: np.ndarray, k: int, h: float) -> tuple[complex, complex]:
+    """(df/dz_k, df/dzbar_k) of a scalar function f at z by central
+    differences of step h along the real and the imaginary axis."""
+    e = np.zeros(len(z), dtype=complex)
+    e[k] = h
+    dx = (f(z + e) - f(z - e)) / (2 * h)
+    dy = (f(z + 1j * e) - f(z - 1j * e)) / (2 * h)
+    return 0.5 * (dx - 1j * dy), 0.5 * (dx + 1j * dy)
+
+
 def _fd_dual_derivative(model, zeta, z, j, h=1e-6):
     """Frame derivative Lambda_j P by central differences in z."""
     V = model.dual_frame(z)
     der = 0.0 + 0.0j
     for k in range(model.n):
-        c = V[k, j]
-        if abs(c) < 1e-15:
-            continue
-        e = np.zeros(model.n, dtype=complex)
-        e[k] = 1.0
-        dx = (model.big_p(zeta, z + h * e) - model.big_p(zeta, z - h * e)) / (2 * h)
-        dy = (model.big_p(zeta, z + 1j * h * e) - model.big_p(zeta, z - 1j * h * e)) / (2 * h)
-        der += c * 0.5 * (dx - 1j * dy)
+        if abs(V[k, j]) >= 1e-15:
+            der += V[k, j] * _wirtinger_fd(lambda w: model.big_p(zeta, w), z, k, h)[0]
     return der
 
 

@@ -76,6 +76,21 @@ def test_derive_matches(tmp_path, capsys):
                 "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("kind,part,j", [
+    ("mainint", "N", 2),        # an intmain part under the other kind
+    ("mainint", "x", 2),
+    ("intmain", "i", 2),
+    ("mainint", "i", 0),
+    ("intmain", "N", 0),
+])
+def test_derive_bad_input_is_a_one_line_usage_error(tmp_path, capsys, kind, part, j):
+    assert run(["derive", "--kind", kind, "--part", part, "--j", str(j),
+                "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not list(tmp_path.glob("derive_*.json"))
+
+
 def test_derive_mainint_j1_equals_axiom(tmp_path):
     assert run(["derive", "--kind", "mainint", "--part", "i", "--j", "1",
                 "--out", str(tmp_path)]) == 0

@@ -352,6 +352,36 @@ def test_kernel_derivative_rejects_unknown_operator():
         kernels.kernel_derivative(k, "dbar", "w")
 
 
+def _gq_in_coordinates(model, q):
+    """gq with its adapted z slots changed to coordinates."""
+    g = kernels.gq(model, q)
+
+    def ev(zeta, z):
+        return forms.change_frame_z(g.eval(zeta, z), model.frame(z), forms.COORD)
+
+    return kernels.KernelEvaluator("Gq_coord", model.n, ev, q)
+
+
+@pytest.mark.parametrize("name,n,q", [("ball", 3, 1), ("pinched", 4, 2)])
+def test_dbar_zeta_commutes_with_the_adapted_z_frame(name, n, q):
+    # the adapted coframe at a fixed z does not move with zeta
+    model = domain.make_domain(name, n)
+    zeta, z = _frozen_pair(model)
+    adapted = kernels.kernel_derivative(kernels.gq(model, q), "dbar", "zeta").eval(zeta, z)
+    assert adapted.frame == (forms.COORD, forms.ADAPTED)
+    coord = kernels.kernel_derivative(_gq_in_coordinates(model, q), "dbar", "zeta").eval(zeta, z)
+    want = forms.change_frame_z(adapted, model.frame(z), forms.COORD)
+    # equal up to the roundoff of the frame change, which the difference
+    # quotient amplifies by 1 / FD_REL_STEP: about 2e-12 relative
+    assert (coord - want).norm() <= 1e-11 * want.norm()
+
+
+def test_derivative_in_z_of_adapted_z_slots_raises():
+    zeta, z = _frozen_pair(BALL3)
+    with pytest.raises(KernelError, match="coordinate z slots"):
+        kernels.kernel_derivative(kernels.gq(BALL3, 1), "dbar", "z").eval(zeta, z)
+
+
 def test_fd_step_guard():
     const = kernels.KernelEvaluator("c", 2, lambda a, b: DoubleForm.scalar(2, 1.0))
     with pytest.raises(kernels.StepTooLarge):
@@ -495,9 +525,8 @@ def test_nq_bidegree_and_gnq_value():
     v = nk.eval(zeta, z)
     assert v.zeta_degree() == (0, 1)
     assert v.z_degree() == (1, 0)
-    # printed conormal-block coefficient, checked through g_l
-    gl = kernels.g_l(BALL3, 1, (3,))
-    vv = gl.eval(zeta, z)
+    # printed conormal-block coefficient, checked through G_L for L = (3,)
+    vv = kernels.theta_coefficient(kernels.gq(BALL3, 1).eval(zeta, z), (3,))
     P = BALL3.big_p(zeta, z)
     const = -(2.0 ** 2) * 1 / (2 * np.pi) ** 3 * P ** (1 - 3)
     U = BALL3.frame(zeta)
@@ -510,11 +539,6 @@ def test_nq_main_terms_have_type_two():
     nk = kernels.nq(BALL3, 1)
     assert nk.claimed_type == 2
     assert all(tc.admissible_type(d, 3) == 2 for d in tc.neumann_main_terms(3, 1))
-
-
-def test_h_l_rejects_bad_index():
-    with pytest.raises(KernelError):
-        kernels.h_l_main(BALL3, 1, (1, 2))
 
 
 def test_make_kernel_registry():
@@ -618,5 +642,5 @@ def test_lq_main_frozen_values(name, n, q):
 @pytest.mark.parametrize("name,n,q,L", sorted(H_L_MAIN_FROZEN))
 def test_h_l_main_frozen_values(name, n, q, L):
     model = domain.make_domain(name, n)
-    v = kernels.h_l_main(model, q, L).eval(*_frozen_pair(model))
+    v = kernels.theta_coefficient(kernels.hq_main(model, q).eval(*_frozen_pair(model)), L)
     _assert_frozen(v, H_L_MAIN_FROZEN[name, n, q, L])

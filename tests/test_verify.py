@@ -82,6 +82,25 @@ def test_tq_slope_matches_type_prediction():
     assert abs(c["slope_measured"] - c["slope_required"]) <= 0.2
 
 
+# dgh on ball n=3, q=1, seed 0: (check, slope, exact), recorded when dgh
+# evaluated one G_L and one H_L per index set L
+DGH_FROZEN = [
+    ("dbar-G-vs-H-ab-L=1", -5.993491522634887, False),
+    ("dbar-G-vs-H-ab-L=2", -6.011264351822823, False),
+    ("dbar-G-vs-H-nQ-L=3", float("inf"), True),
+    ("case-c-components-small", -4.603958760414462, False),
+]
+
+
+def test_dgh_frozen_slopes():
+    rep = run_suite("dgh", "ball", 3, 1, seed=0)
+    assert rep["passed"] is True
+    assert [(c["check"], c["details"]["exact"]) for c in rep["checks"]] == [
+        (name, exact) for name, _, exact in DGH_FROZEN]
+    for c, (_, slope, _) in zip(rep["checks"], DGH_FROZEN):
+        assert c["slope_measured"] == pytest.approx(slope, rel=1e-12, abs=0)
+
+
 def test_reports_embed_thresholds():
     rep = run_suite("morse", "pinched", 2)
     assert rep["thresholds"]["rate_gap"] == 0.8
