@@ -45,7 +45,7 @@ def _load_config(args) -> dict:
         cfg = json.loads(Path(args.config).read_text())
         if not isinstance(cfg, dict):
             raise ValueError("config file must hold a JSON object")
-    for key in ("domain", "n", "q", "seed", "eps", "delta", "out"):
+    for key in CONFIG_TYPES:
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
@@ -94,7 +94,7 @@ def cmd_suite(args) -> int:
                   f"measured={c['slope_measured']:.4g} required={c['slope_required']:.4g}")
     report = {"config": cfg, "t_grid": list(t_grid), "suites": reports,
               "passed": all_pass}
-    (out / "suite_report.json").write_text(json.dumps(report, indent=2, default=str))
+    (out / "suite_report.json").write_text(json.dumps(report, indent=2))
     with (out / "suite_report.csv").open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["suite", "check", "slope_measured", "slope_required", "status"])
@@ -167,10 +167,8 @@ def cmd_ratio(args) -> int:
         raise ValueError(f"ratio needs p, s, trials and every resolution >= 1; got {', '.join(bad)}")
     model = make_domain(cfg["domain"], cfg["n"], delta=cfg["delta"])
     from fractions import Fraction
-    if args.kernel == "E":
-        thresh = zalg.e1_threshold(args.p, cfg["n"])
-    else:
-        thresh = Fraction(1, 1) / Fraction(args.p) - Fraction(1, cfg["n"] + 1)
+    threshold = zalg.e1_threshold if args.kernel == "E" else zalg.nq_threshold
+    thresh = threshold(args.p, cfg["n"])
     admissible = Fraction(1, 1) / Fraction(args.s).limit_denominator(1000) > thresh
     rep = quad.ratio_table(model, args.kernel, cfg["q"], a=args.a, b=args.b,
                            p=args.p, s=args.s, trials=args.trials,

@@ -18,6 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 TOL_FRAME = 1e-8
+R_HI = 0.5              # the collar U outside D is {0 <= r < R_HI}
+BOUNDING_RADIUS = 1.6   # |zeta| bound of D union U for both models
+PROJECT_ITERS = 60      # Newton steps of project_boundary at most
 
 
 class DomainError(Exception):
@@ -77,9 +80,8 @@ class Jet:
 
 @dataclass(frozen=True)
 class DomainModel:
-    """A model domain: defining function r with exact jets, a boundary collar
-    U = {r_lo < r < r_hi}, Morse critical points on the boundary, and the
-    patching radius delta."""
+    """A model domain: defining function r with exact jets, Morse critical
+    points on the boundary, and the patching radius delta."""
 
     name: str
     n: int
@@ -88,10 +90,7 @@ class DomainModel:
     r_const: float
     delta: float = 0.15
     diag_radius: float = 0.75
-    r_lo: float = -0.5
-    r_hi: float = 0.5
     critical_points: tuple[tuple[complex, ...], ...] = ()
-    bounding_radius: float = 1.6
 
     def __post_init__(self):
         # the coframe Gram matrix H^-1, inverted once
@@ -126,8 +125,8 @@ class DomainModel:
 
     # region predicates -------------------------------------------------
 
-    def in_domain(self, zeta: np.ndarray, eps: float = 0.0) -> bool:
-        return self.r(zeta) < -eps
+    def in_domain(self, zeta: np.ndarray) -> bool:
+        return self.r(zeta) < 0.0
 
     def in_halo(self, zeta: np.ndarray):
         """Inside D or its boundary collar (where jets are used), per point."""
@@ -136,10 +135,7 @@ class DomainModel:
 
     def _in_halo(self, zeta: np.ndarray, r):
         norm2 = np.real(_dot(zeta.conj(), zeta))
-        return (norm2 <= self.bounding_radius ** 2) & (r < self.r_hi)
-
-    def in_collar(self, zeta: np.ndarray) -> bool:
-        return self.r_lo < self.r(zeta) < self.r_hi
+        return (norm2 <= BOUNDING_RADIUS ** 2) & (r < R_HI)
 
     # geometry -----------------------------------------------------------
 
@@ -231,11 +227,6 @@ class DomainModel:
         d = np.asarray(zeta, dtype=complex) - np.asarray(z, dtype=complex)
         return 2.0 * (d @ self.levi_const.T)
 
-    def levi_polynomial_f(self, zeta: np.ndarray, z: np.ndarray):
-        """Second-order support function, holomorphic in z."""
-        d = self._pair_diff(zeta, z)
-        return self._support(self.grad(zeta), d)
-
     def phi(self, zeta: np.ndarray, z: np.ndarray):
         d = self._pair_diff(zeta, z)
         grad, r = self._grad_r(zeta)
@@ -283,10 +274,10 @@ class DomainModel:
 
     # boundary helpers ----------------------------------------------------
 
-    def project_boundary(self, zeta: np.ndarray, iters: int = 60) -> np.ndarray:
+    def project_boundary(self, zeta: np.ndarray) -> np.ndarray:
         """Newton projection onto {r = 0} along the real gradient."""
         z = np.asarray(zeta, dtype=complex).copy()
-        for _ in range(iters):
+        for _ in range(PROJECT_ITERS):
             val = self.r(z)
             if abs(val) < 1e-14:
                 break

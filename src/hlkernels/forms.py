@@ -51,22 +51,6 @@ def validate_multi_index(idx: MultiIndex, n: int) -> None:
         raise FormError(f"index {idx} not strictly increasing")
 
 
-def perm_sign(sub: tuple[int, ...], sup: tuple[int, ...]) -> int:
-    """Sign of the permutation taking sub to sup; 0 if not a permutation."""
-    if len(sub) != len(sup) or len(set(sub)) != len(sub):
-        return 0
-    if sorted(sub) != sorted(sup):
-        return 0
-    pos = {v: i for i, v in enumerate(sup)}
-    perm = [pos[v] for v in sub]
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
-
-
 def merge_sign(a: MultiIndex, b: MultiIndex) -> tuple[int, MultiIndex]:
     """Sign and result of sorting the concatenation of two increasing tuples.
 
@@ -132,8 +116,8 @@ class DoubleForm:
     def copy(self) -> "DoubleForm":
         return DoubleForm(self.n, dict(self.coeffs), self.frame)
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return all(abs(v) <= tol for v in self.coeffs.values())
+    def is_zero(self) -> bool:
+        return all(v == 0 for v in self.coeffs.values())
 
     def __add__(self, other: "DoubleForm") -> "DoubleForm":
         self._check_compat(other)
@@ -342,34 +326,31 @@ def transform_slot(f: DoubleForm, slot: int, V: np.ndarray) -> DoubleForm:
     return DoubleForm(n, out, f.frame)
 
 
-def change_frame_zeta(f: DoubleForm, U_zeta: np.ndarray, to: str) -> DoubleForm:
-    """Convert the zeta slots between coordinate and adapted frames.
-
-    U_zeta holds the adapted coframe rows in coordinate components
-    (omega^a = sum_j U[a, j] dzeta_j).
-    """
-    if f.frame[0] == to:
+def _change_frame(f: DoubleForm, side: int, U: np.ndarray, to: str) -> DoubleForm:
+    """Convert the slots of one variable (side 0: zeta, 1: z) between
+    coordinate and adapted frames; U holds the adapted coframe rows in
+    coordinate components (omega^a = sum_j U[a, j] dzeta_j)."""
+    if f.frame[side] == to:
         return f
-    V = U_zeta if to == COORD else np.linalg.inv(U_zeta)
+    V = U if to == COORD else np.linalg.inv(U)
+    hol, anti = 2 * side, 2 * side + 1
     g = f
-    if any(k[0] for k in f.coeffs):
-        g = transform_slot(g, 0, V)
-    if any(k[1] for k in g.coeffs):
-        g = transform_slot(g, 1, np.conj(V))
-    return DoubleForm(g.n, g.coeffs, (to, f.frame[1]))
+    if any(k[hol] for k in f.coeffs):
+        g = transform_slot(g, hol, V)
+    if any(k[anti] for k in g.coeffs):
+        g = transform_slot(g, anti, np.conj(V))
+    frame = (to, f.frame[1]) if side == 0 else (f.frame[0], to)
+    return DoubleForm(g.n, g.coeffs, frame)
+
+
+def change_frame_zeta(f: DoubleForm, U_zeta: np.ndarray, to: str) -> DoubleForm:
+    """Convert the zeta slots between coordinate and adapted frames."""
+    return _change_frame(f, 0, U_zeta, to)
 
 
 def change_frame_z(f: DoubleForm, U_z: np.ndarray, to: str) -> DoubleForm:
     """Convert the z slots between coordinate and adapted frames."""
-    if f.frame[1] == to:
-        return f
-    V = U_z if to == COORD else np.linalg.inv(U_z)
-    g = f
-    if any(k[2] for k in f.coeffs):
-        g = transform_slot(g, 2, V)
-    if any(k[3] for k in g.coeffs):
-        g = transform_slot(g, 3, np.conj(V))
-    return DoubleForm(g.n, g.coeffs, (f.frame[0], to))
+    return _change_frame(f, 1, U_z, to)
 
 
 def to_coord(f: DoubleForm, U_zeta: np.ndarray | None = None,

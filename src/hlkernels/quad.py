@@ -103,11 +103,8 @@ def anti_keys(n: int, q: int) -> tuple[tuple[int, ...], ...]:
 
 
 def field_from_function(grid: Grid, q: int, func) -> FormField:
-    """Sample a coefficient function func(point) -> dict[key, complex], or
-    func.batch(points) -> (points, ncomp) when func has one."""
-    keys = anti_keys(grid.n, q)
-    index = {k: j for j, k in enumerate(keys)}
-    return FormField(grid, q, keys, _sample_field(func, grid.centers, keys, index))
+    """Sample a field, func.batch(points) -> (points, ncomp), at the cells."""
+    return FormField(grid, q, anti_keys(grid.n, q), func.batch(grid.centers))
 
 
 def weighted_lp_norm(f: FormField, a: float, p: float) -> float:
@@ -160,30 +157,20 @@ def _split_nodes(grid: Grid, z: np.ndarray):
     return far, far_vols, sub_c, sub_vol
 
 
-def _sample_field(f_func, pts: np.ndarray, keys, index) -> np.ndarray:
-    if hasattr(f_func, "batch"):
-        return f_func.batch(pts)
-    data = np.zeros((len(pts), len(keys)), dtype=complex)
-    for i, c in enumerate(pts):
-        for k, v in f_func(c).items():
-            data[i, index[k]] = v
-    return data
-
-
 def apply_kernel(kernel: KernelEvaluator | None, f_func, grid: Grid,
                  targets: np.ndarray, q: int,
                  batch_eval=None) -> np.ndarray:
-    """Apply the integral operator of `kernel` to the (0,q) field sampled from
-    f_func, at each target point.  Returns (ntargets, ncomp) output components
-    in the conjugate z basis.  batch_eval, when given, must return the packed
-    kernel coefficient array (nodes, ncomp_in, ncomp_out) for fixed z; it is
-    then evaluated once per target, and f_func.batch may return
-    (points, ..., ncomp) to apply that one kernel to a stack of fields at
-    once, giving (ntargets, ..., ncomp)."""
+    """Apply the integral operator of `kernel` to the (0,q) field f_func, at
+    each target point.  f_func.batch(points) returns (points, ncomp), or
+    (points, ..., ncomp) for a stack of fields when batch_eval is given.
+    Returns (ntargets, ..., ncomp) output components in the conjugate z
+    basis.  batch_eval, when given, must return the packed kernel coefficient
+    array (nodes, ncomp_in, ncomp_out) for fixed z; it is then evaluated once
+    per target, and applied to every field of the stack at once."""
     n = grid.n
     keys = anti_keys(n, q)
     index = {k: j for j, k in enumerate(keys)}
-    base_data = _sample_field(f_func, grid.centers, keys, index)
+    base_data = f_func.batch(grid.centers)
     out = np.zeros((len(targets),) + base_data.shape[1:], dtype=complex)
     for ti, z in enumerate(np.asarray(targets, dtype=complex)):
         far, far_vols, sub, sub_vols = _split_nodes(grid, z)
@@ -197,13 +184,13 @@ def apply_kernel(kernel: KernelEvaluator | None, f_func, grid: Grid,
             K = batch_eval(nodes, z)
             for lo in range(0, len(nodes), BLOCK_NODES):
                 hi = min(lo + BLOCK_NODES, len(nodes))
-                fdata = _field_rows(f_func, far_data, sub, lo, hi, keys, index)
+                fdata = _field_rows(f_func, far_data, sub, lo, hi)
                 out[ti] += np.einsum("i...b,iba->...a", fdata,
                                      K[lo:hi].conj() * vols[lo:hi, None, None],
                                      optimize=True)
             del K
         else:
-            fdata = _field_rows(f_func, far_data, sub, 0, len(nodes), keys, index)
+            fdata = _field_rows(f_func, far_data, sub, 0, len(nodes))
             acc = np.zeros(len(keys), dtype=complex)
             for i, c in enumerate(nodes):
                 kv = kernel.eval(c, z)
@@ -218,14 +205,14 @@ def apply_kernel(kernel: KernelEvaluator | None, f_func, grid: Grid,
     return out
 
 
-def _field_rows(f_func, far_data: np.ndarray, sub: np.ndarray, lo: int, hi: int,
-                keys, index) -> np.ndarray:
+def _field_rows(f_func, far_data: np.ndarray, sub: np.ndarray,
+                lo: int, hi: int) -> np.ndarray:
     """Rows lo:hi of the field at the far cells followed by the subcells,
     sampling only the subcells those rows cover."""
     nfar = len(far_data)
     rows = [far_data[lo:hi]]
     if hi > nfar:
-        rows.append(_sample_field(f_func, sub[max(lo - nfar, 0):hi - nfar], keys, index))
+        rows.append(f_func.batch(sub[max(lo - nfar, 0):hi - nfar]))
     return np.concatenate(rows)
 
 
@@ -283,39 +270,34 @@ def batch_isotropic_model(model: DomainModel):
 
 # -- seeded smooth test fields ---------------------------------------------------
 
+FIELD_SCALE = 0.25   # Gaussian width of a test field
+FIELD_MARGIN = 0.4   # test-field centres lie in the box |Re|, |Im| <= FIELD_MARGIN / 2
+
 
 class TestField:
     """Gaussian bump times affine polynomial frames, seeded; smoothness scale
     fixed well above the grid resolutions in use."""
 
-    def __init__(self, model: DomainModel, q: int, seed: int, scale: float = 0.25,
-                 margin: float = 0.4):
+    def __init__(self, model: DomainModel, q: int, seed: int):
         rng = np.random.default_rng(seed)
         n = model.n
-        center = rng.uniform(-margin / 2, margin / 2, 2 * n)
+        center = rng.uniform(-FIELD_MARGIN / 2, FIELD_MARGIN / 2, 2 * n)
         self.c = center[0::2] + 1j * center[1::2]
-        self.keys = anti_keys(n, q)
-        self.coef = rng.standard_normal(len(self.keys)) \
-            + 1j * rng.standard_normal(len(self.keys))
+        ncomp = len(anti_keys(n, q))
+        self.coef = rng.standard_normal(ncomp) + 1j * rng.standard_normal(ncomp)
         self.lin = rng.standard_normal(2 * n) * 0.5
-        self.scale = scale
 
     def batch(self, pts: np.ndarray) -> np.ndarray:
         d = np.atleast_2d(pts) - self.c[None, :]
         r2 = np.sum(np.abs(d) ** 2, axis=1)
-        amp = np.exp(-r2 / (2 * self.scale ** 2))
+        amp = np.exp(-r2 / (2 * FIELD_SCALE ** 2))
         reals = np.concatenate([d.real, d.imag], axis=1)
         poly = 1.0 + reals @ self.lin
         return (amp * poly)[:, None] * self.coef[None, :]
 
-    def __call__(self, zeta: np.ndarray) -> dict:
-        row = self.batch(np.asarray(zeta, dtype=complex)[None, :])[0]
-        return {k: row[j] for j, k in enumerate(self.keys)}
 
-
-def random_test_field(model: DomainModel, q: int, seed: int, scale: float = 0.25,
-                      margin: float = 0.4) -> TestField:
-    return TestField(model, q, seed, scale, margin)
+def random_test_field(model: DomainModel, q: int, seed: int) -> TestField:
+    return TestField(model, q, seed)
 
 
 # -- ratio tables -----------------------------------------------------------------
@@ -409,7 +391,7 @@ def ratio_table(model: DomainModel, kernel_name: str, q: int,
 # -- discrete adjointness ----------------------------------------------------------
 
 
-def _field_forms(model: DomainModel, seed: int, q: int, scale: float = 0.28):
+def _field_forms(model: DomainModel, seed: int, q: int):
     """Compactly supported smooth (0,q) field with exact first derivatives."""
     rng = np.random.default_rng(seed)
     n = model.n

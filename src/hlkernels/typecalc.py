@@ -15,7 +15,6 @@ type of their terms.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -107,24 +106,6 @@ def exponent_along_path(d: AdmissibleDescriptor, n: int,
     return (Fraction(d.j) * path.a + d.l * path.b + d.m * path.c
             - d.t0 * path.p - d.t * path.f
             - d.inv_gamma * path.b / 2 - d.inv_gamma_star * path.c / 2)
-
-
-_FIELD_RE = re.compile(r"^(N|M|j|t0|t1|t2|t3|t4|l|m|ig|igs)(=?)(-?\d+)$")
-_FIELD_MAP = {"ig": "inv_gamma", "igs": "inv_gamma_star"}
-
-
-def parse_descriptor(text: str) -> AdmissibleDescriptor:
-    """Parse the compact syntax, e.g. "N2 M0 j0 t0=1 t2=-2"."""
-    kwargs: dict[str, int] = {}
-    for tok in text.split():
-        mm = _FIELD_RE.match(tok)
-        if not mm:
-            raise DescriptorError(f"bad descriptor token {tok!r}")
-        name = _FIELD_MAP.get(mm.group(1), mm.group(1))
-        kwargs[name] = int(mm.group(3))
-    d = AdmissibleDescriptor(**kwargs)
-    d.validate()
-    return d
 
 
 # ---------------------------------------------------------------------------

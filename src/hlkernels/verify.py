@@ -207,7 +207,7 @@ def suite_lphi(model: DomainModel, n: int, q: int, seed: int,
     s, _ = slope_fit(ts, lam_tan)
     out.append(CheckResult("lphi", "tangential-frame-derivative-rate", s >= THRESHOLDS["lphi_slope"], s, THRESHOLDS["lphi_slope"]))
     worst = max(dbarz)
-    out.append(CheckResult("lphi", "dbar-z-phi-vanishes", worst <= THRESHOLDS["dbarz_phi_abs"], worst, THRESHOLDS["dbarz_phi_abs"],
+    out.append(CheckResult("lphi", "dbar-z-phi-vanishes", bool(worst <= THRESHOLDS["dbarz_phi_abs"]), worst, THRESHOLDS["dbarz_phi_abs"],
                            {"comparison": "absolute"}))
     return out
 
@@ -249,7 +249,7 @@ def suite_phibound(model: DomainModel, n: int, q: int, seed: int,
         return out
     stable = abs(cs[1] - cs[0]) <= THRESHOLDS["lower_bound_stability"] * max(cs)
     out.append(CheckResult("phibound", "lower-bound-constant-stable",
-                           stable and cs[0] > 0, min(cs), 0.0,
+                           bool(stable and cs[0] > 0), min(cs), 0.0,
                            {"c_fits": cs, "comparison": "stability<=20%"}))
     return out
 
@@ -278,7 +278,8 @@ def suite_gamma_harmonic(model: DomainModel, n: int, q: int, seed: int,
     base = _base_point(model, seed)
     zeta = 0.85 * base
     z = 0.55 * base + 0.1
-    val = abs(g00.eval(zeta, z).component(((), (), (), ())))
+    center = g00.eval(zeta, z).component(((), (), (), ()))
+    val = abs(center)
     hs = [0.02 / (2 ** k) for k in range(5)]
     resid = []
     for h in hs:
@@ -288,7 +289,7 @@ def suite_gamma_harmonic(model: DomainModel, n: int, q: int, seed: int,
             e[k // 2] = h if k % 2 == 0 else 1j * h
             lap += (g00.eval(zeta + e, z).component(((), (), (), ()))
                     + g00.eval(zeta - e, z).component(((), (), (), ()))
-                    - 2 * g00.eval(zeta, z).component(((), (), (), ())))
+                    - 2 * center)
         resid.append(abs(lap) / (np.abs(h) ** 2) / val)
     s, exact = slope_or_exact(hs, resid, [val] * len(hs))
     return [CheckResult("gamma-harmonic", "fd-laplacian-residual",
@@ -460,10 +461,10 @@ def suite_lp_morse(model: DomainModel, n: int, q: int, seed: int,
     stable_i = max(ratios_i[half:]) <= grow * max(max(ratios_i[:half]), 1e-12)
     stable_iii = max(ratios_iii[half:]) <= grow * max(max(ratios_iii[:half]), 1e-12)
     return [
-        CheckResult("lp-morse", "normal-derivative-envelope", stable_i,
+        CheckResult("lp-morse", "normal-derivative-envelope", bool(stable_i),
                     max(ratios_i), 0.0, {"ratios": ratios_i,
                                          "comparison": "envelope stability"}),
-        CheckResult("lp-morse", "norm-identity-envelope", stable_iii,
+        CheckResult("lp-morse", "norm-identity-envelope", bool(stable_iii),
                     max(ratios_iii), 0.0, {"ratios": ratios_iii,
                                            "comparison": "envelope stability"}),
     ]
@@ -479,13 +480,13 @@ def _wirtinger_fd(f, z: np.ndarray, k: int, h: float) -> tuple[complex, complex]
     return 0.5 * (dx - 1j * dy), 0.5 * (dx + 1j * dy)
 
 
-def _fd_dual_derivative(model, zeta, z, j, h=1e-6):
-    """Frame derivative Lambda_j P by central differences in z."""
+def _fd_dual_derivative(model, zeta, z, j):
+    """Frame derivative Lambda_j P by central differences of step 1e-6 in z."""
     V = model.dual_frame(z)
     der = 0.0 + 0.0j
     for k in range(model.n):
         if abs(V[k, j]) >= 1e-15:
-            der += V[k, j] * _wirtinger_fd(lambda w: model.big_p(zeta, w), z, k, h)[0]
+            der += V[k, j] * _wirtinger_fd(lambda w: model.big_p(zeta, w), z, k, 1e-6)[0]
     return der
 
 

@@ -38,6 +38,7 @@ _SUBN = {"id": "N", "dbar": "dbarN", "dbarstar": "dbarstarN", "box": "boxN"}
 _BOUNDED = {"H", "N", "dbarN", "dbarstarN"}
 
 KERNEL_TYPE = {"Nq": 2, "Tq-1": 1, "Tq*": 1}
+MAX_REWRITE_STEPS = 20000   # simplify's budget before it declares non-termination
 
 
 class ZalgError(Exception):
@@ -290,7 +291,7 @@ def _merge(terms: list[Term]) -> list[Term]:
 
 
 def simplify(expr: ZExpr, fold_order: int | None = None,
-             trace: list | None = None, rng=None, max_steps: int = 20000,
+             trace: list | None = None, rng=None,
              expand_identities: bool = True) -> ZExpr:
     """Exhaustive rewriting to normal form.
 
@@ -316,7 +317,7 @@ def simplify(expr: ZExpr, fold_order: int | None = None,
         if hit is None:
             break
         steps += 1
-        if steps > max_steps:
+        if steps > MAX_REWRITE_STEPS:
             raise ZalgError("rewrite did not terminate within the step budget")
         i, res = hit
         if trace is not None:
@@ -513,10 +514,14 @@ def e1_threshold(p, n: int) -> Fraction:
     return Fraction(1, 1) / p - Fraction(1, 2 * n)
 
 
+def nq_threshold(p, n: int) -> Fraction:
+    """Infimal 1/s for the principal Neumann kernel (the weighted theorem)."""
+    return Fraction(1, 1) / Fraction(p) - Fraction(1, n + 1)
+
+
 def admissible_s(j_or_kind, p, n: int, weight_theorem: bool = False) -> Fraction:
     """Supremal admissible s (as a Fraction; may be infinite -> raises)."""
-    inv = (Fraction(1, 1) / Fraction(p) - Fraction(1, n + 1)) if weight_theorem \
-        else map_exponent(j_or_kind, p, n)
+    inv = nq_threshold(p, n) if weight_theorem else map_exponent(j_or_kind, p, n)
     if inv <= 0:
         raise ZalgError("no finite threshold; every s admissible")
     return 1 / inv

@@ -110,13 +110,13 @@ def test_rho2_diagonal_radius():
 
 
 def test_levi_polynomial_values():
-    assert BALL2.levi_polynomial_f(c(1.0, 0.0), c(1.0, 0.0)) == 0.0
-    assert BALL2.levi_polynomial_f(c(1.0, 0.0), c(0.9, 0.0)) == pytest.approx(0.1)
+    assert BALL2.geo_pair(c(1.0, 0.0), c(1.0, 0.0)).f == 0.0
+    assert BALL2.geo_pair(c(1.0, 0.0), c(0.9, 0.0)).f == pytest.approx(0.1)
     zz = c(0.3 + 0.1j, 0.2j)
     ww = c(0.25 + 0.12j, 0.1j)
     manual = ((np.conj(zz[0]) - 2 * zz[0]) * (zz[0] - ww[0])
               + np.conj(zz[1]) * (zz[1] - ww[1]) + (zz[0] - ww[0]) ** 2)
-    assert PIN2.levi_polynomial_f(zz, ww) == pytest.approx(manual)
+    assert PIN2.geo_pair(zz, ww).f == pytest.approx(manual)
 
 
 def test_phi_and_big_p_values():
@@ -195,7 +195,7 @@ def test_levi_positive_on_collar_samples():
         while count < 20:
             v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             p = v / np.linalg.norm(v) * rng.uniform(0.8, 1.1)
-            if not model.in_collar(p):
+            if not -0.5 < model.r(p) < 0.5:
                 continue
             count += 1
             eigs = np.linalg.eigvalsh(model.jet(p).levi)
@@ -233,7 +233,7 @@ def test_no_critical_points_off_boundary_sampled():
         while count < 40:
             v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             p = v / np.linalg.norm(v) * rng.uniform(0.7, 1.1)
-            if not model.in_collar(p) or abs(model.r(p)) < 1e-3:
+            if not -0.5 < model.r(p) < 0.5 or abs(model.r(p)) < 1e-3:
                 continue
             count += 1
             assert model.gamma(p) > 1e-3
@@ -242,8 +242,7 @@ def test_no_critical_points_off_boundary_sampled():
 # -- point arrays: rows (P, n) against a loop of single-point calls ------------------
 
 POINT_METHODS = ("r", "grad", "in_halo", "gamma", "frame", "dual_frame")
-PAIR_METHODS = ("rho2", "d_zeta_rho2", "dbar_zeta_rho2", "levi_polynomial_f", "phi",
-                "phi_star", "big_p")
+PAIR_METHODS = ("rho2", "d_zeta_rho2", "dbar_zeta_rho2", "phi", "phi_star", "big_p")
 GEO_FIELDS = ("r", "r_star", "grad", "gamma", "gamma_star", "rho2", "f", "phi",
               "big_p")
 ROW_MODELS = [ball(2), ball(3), pinched(2), pinched(3)]
@@ -337,7 +336,7 @@ def test_pair_rows_beyond_the_diagonal_radius_raise():
     z = c(0.6, 0.0, 0.0)
     pts = np.array([c(0.5, 0.1, 0.0), c(-0.6, 0.1j, 0.05)])
     model = pinched(3)
-    for method in ("rho2", "levi_polynomial_f", "phi", "phi_star", "big_p", "geo_pair"):
+    for method in ("rho2", "phi", "phi_star", "big_p", "geo_pair"):
         with pytest.raises(DiagonalRadiusExceeded):
             getattr(model, method)(pts, z)
 

@@ -13,7 +13,7 @@ import pytest
 from hlkernels import forms
 from hlkernels.forms import (DoubleForm, adjoint_value, change_frame_zeta,
                              conj_form, hodge_star, inner,
-                             merge_sign, pair_pointwise, perm_sign,
+                             merge_sign, pair_pointwise,
                              restrict_boundary, swap_variables, volume_coeff,
                              wedge, wedge_power)
 
@@ -33,6 +33,24 @@ def random_form(n, p, q, rng, frame=forms.COORD_FRAME):
 
 
 # -- permutation signs -------------------------------------------------------
+
+
+def perm_sign(sub: tuple[int, ...], sup: tuple[int, ...]) -> int:
+    """Sign of the permutation taking sub to sup; 0 if not a permutation.
+
+    An oracle independent of `forms.merge_sign`, for the real Hodge star."""
+    if len(sub) != len(sup) or len(set(sub)) != len(sub):
+        return 0
+    if sorted(sub) != sorted(sup):
+        return 0
+    pos = {v: i for i, v in enumerate(sup)}
+    perm = [pos[v] for v in sub]
+    sign = 1
+    for i in range(len(perm)):
+        for j in range(i + 1, len(perm)):
+            if perm[i] > perm[j]:
+                sign = -sign
+    return sign
 
 
 def test_perm_sign_examples():

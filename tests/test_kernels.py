@@ -224,7 +224,7 @@ def test_cq_errors_from_the_base_point():
     zeta = c(0.98, 0.1, 0.05)
     with pytest.raises(PoleOnDiagonal):
         kernels.cq(BALL3, 1).eval(zeta, zeta)       # beta's pole
-    # r = 0 there, so xi = 1, but |zeta| > bounding_radius
+    # r = 0 there, so xi = 1, but |zeta| > domain.BOUNDING_RADIUS
     with pytest.raises(domain.OutsideDomain):
         kernels.cq(domain.pinched(3), 1).eval(c(1.5, 1.5, 0.0), c(1.3, 1.3, 0.1))
 

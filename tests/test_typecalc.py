@@ -8,7 +8,7 @@ from hlkernels import typecalc as tc
 from hlkernels.typecalc import (AdmissibleDescriptor, DescriptorError,
                                 IsotropicDescriptor, PathExponents, PARABOLIC,
                                 admissible_type, exponent_along_path,
-                                isotropic_type, parse_descriptor)
+                                isotropic_type)
 
 
 def test_neumann_main_term_types():
@@ -107,14 +107,3 @@ def test_exponent_path_validation():
     d = AdmissibleDescriptor()
     with pytest.raises(DescriptorError):
         exponent_along_path(d, 3, PathExponents(a=Fraction(0)))
-
-
-def test_parse_descriptor():
-    d = parse_descriptor("N2 M0 j0 t0=1 t2=-2")
-    assert d == AdmissibleDescriptor(N=2, M=0, j=0, t0=1, t2=-2)
-    d = parse_descriptor("j1 t0=2 t2=-2 N2 ig1")
-    assert d.inv_gamma == 1
-    with pytest.raises(DescriptorError):
-        parse_descriptor("Q7")
-    with pytest.raises(DescriptorError):
-        parse_descriptor("t1=1")    # violates t >= 0

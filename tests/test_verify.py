@@ -1,5 +1,7 @@
 """Slope fitting and the suite runner."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -127,3 +129,22 @@ def test_phibound_with_every_trial_outside_the_halo(monkeypatch):
     assert not check["passed"]
     assert "halo" in check["details"]["reason"]
     assert rep["passed"] is False
+
+
+@pytest.mark.parametrize("domain_name, n, q", [
+    ("ball", 2, 0), ("pinched", 2, 0), ("ball", 3, 1), ("pinched", 3, 1)])
+def test_verdicts_are_python_bools(domain_name, n, q):
+    # a numpy bool would reach suite_report.json only through a fallback
+    # encoder, as the string "True"; adjointness is left out for its cost
+    for name in sorted(verify.SUITES):
+        if name == "adjointness":
+            continue
+        try:
+            verify.check_suite_args(name, n, q)
+        except VerifyError:
+            continue
+        rep = run_suite(name, domain_name, n, q, seed=0)
+        assert type(rep["passed"]) is bool, name
+        for c in rep["checks"]:
+            assert type(c["passed"]) is bool, (name, c["check"])
+        json.dumps(rep)
