@@ -220,6 +220,16 @@ def wedge(a: DoubleForm, b: DoubleForm) -> DoubleForm:
     return DoubleForm(a.n, out, a.frame)
 
 
+def differential(n: int, slot: str, parts) -> DoubleForm:
+    """sum_k dv_k ^ parts[k], dv_k the coordinate differential in the
+    DoubleForm.monomial slot `slot`, in the parts' frame: dbar, del and the d
+    of vartheta assembled from partials; `wedge` holds the sign convention."""
+    out = DoubleForm.zero(n, parts[0].frame)
+    for k, part in enumerate(parts, start=1):
+        out = out + wedge(DoubleForm.monomial(n, **{slot: (k,)}, frame=part.frame), part)
+    return out
+
+
 def wedge_power(a: DoubleForm, k: int) -> DoubleForm:
     if k < 0:
         raise FormError("negative wedge power")

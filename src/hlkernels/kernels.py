@@ -45,12 +45,6 @@ class KernelEvaluator:
     id: str
     n: int
     eval: Callable[[np.ndarray, np.ndarray], DoubleForm]
-    q: int | None = None
-    claimed_type: int | None = None
-
-    def __call__(self, zeta, z) -> DoubleForm:
-        return self.eval(np.asarray(zeta, dtype=complex),
-                         np.asarray(z, dtype=complex))
 
 
 def adjoint_kernel(k: KernelEvaluator) -> KernelEvaluator:
@@ -59,7 +53,7 @@ def adjoint_kernel(k: KernelEvaluator) -> KernelEvaluator:
     def ev(zeta, z):
         return forms.adjoint_value(k.eval(z, zeta))
 
-    return KernelEvaluator(f"{k.id}*", k.n, ev, k.q, k.claimed_type)
+    return KernelEvaluator(f"{k.id}*", k.n, ev)
 
 
 # -- scalar building blocks: closed-form jets ------------------------------------
@@ -107,19 +101,9 @@ def _one_form(n: int, c: np.ndarray) -> DoubleForm:
     return DoubleForm(n, {((j + 1,), (), (), ()): c[j] for j in range(n)})
 
 
-def _differential(n: int, slot: str, parts) -> DoubleForm:
-    """sum_k dv_k ^ parts[k], dv_k the coordinate differential in the
-    DoubleForm.monomial slot `slot`, in the parts' frame; forms.wedge holds
-    the sign convention."""
-    out = DoubleForm.zero(n, parts[0].frame)
-    for k, part in enumerate(parts, start=1):
-        out = out + wedge(DoubleForm.monomial(n, **{slot: (k,)}, frame=part.frame), part)
-    return out
-
-
 def _jet_dbar(n: int, slot: str, d: np.ndarray) -> DoubleForm:
     """sum_k dv_k ^ sum_j d[j, k] dzeta_j: the dbar of a jet's (1,0) form."""
-    return _differential(n, slot, [_one_form(n, d[:, k]) for k in range(n)])
+    return forms.differential(n, slot, [_one_form(n, d[:, k]) for k in range(n)])
 
 
 def alpha(model: DomainModel) -> KernelEvaluator:
@@ -202,16 +186,16 @@ def kernel_derivative(k: KernelEvaluator, op: str, var: str) -> KernelEvaluator:
             if der.frame[side] != COORD:
                 raise KernelError(f"a derivative in {var} needs coordinate {var} slots")
             parts.append(der)
-        return _differential(n, slot, parts)
+        return forms.differential(n, slot, parts)
 
-    return KernelEvaluator(f"{prefix}[{k.id}]", n, ev, k.q)
+    return KernelEvaluator(f"{prefix}[{k.id}]", n, ev)
 
 
 def kernel_star_zeta(k: KernelEvaluator) -> KernelEvaluator:
     def ev(zeta, z):
         return forms.hodge_star(k.eval(zeta, z), "zeta")
 
-    return KernelEvaluator(f"star_z[{k.id}]", k.n, ev, k.q)
+    return KernelEvaluator(f"star_z[{k.id}]", k.n, ev)
 
 
 def kernel_vartheta_zeta(k: KernelEvaluator) -> KernelEvaluator:
@@ -221,7 +205,7 @@ def kernel_vartheta_zeta(k: KernelEvaluator) -> KernelEvaluator:
     def ev(zeta, z):
         return forms.hodge_star(inner.eval(zeta, z), "zeta").scale(-1.0)
 
-    return KernelEvaluator(f"vartheta[{k.id}]", k.n, ev, k.q)
+    return KernelEvaluator(f"vartheta[{k.id}]", k.n, ev)
 
 
 # -- Cauchy-Fantappie machinery -------------------------------------------------
@@ -276,7 +260,7 @@ def cq(model: DomainModel, q: int) -> KernelEvaluator:
             series = series + w.scale(sa ** mu * sb ** (n - 2 - mu))
         return wedge(wedge(av, _one_form(n, b)), series)
 
-    return KernelEvaluator(f"Cq[q={q}]", n, ev, q)
+    return KernelEvaluator(f"Cq[q={q}]", n, ev)
 
 
 def lq(model: DomainModel, q: int) -> KernelEvaluator:
@@ -287,7 +271,7 @@ def lq(model: DomainModel, q: int) -> KernelEvaluator:
     def ev(zeta, z):
         return forms.hodge_star(conj_form(c.eval(zeta, z)), "zeta").scale(sign)
 
-    return KernelEvaluator(f"Lq[q={q}]", model.n, ev, q, claimed_type=2)
+    return KernelEvaluator(f"Lq[q={q}]", model.n, ev)
 
 
 def kq(model: DomainModel, q: int) -> KernelEvaluator:
@@ -307,7 +291,7 @@ def kq(model: DomainModel, q: int) -> KernelEvaluator:
             return DoubleForm.zero(n)
         return wedge(av, w.scale(sa ** (n - 1)))
 
-    return KernelEvaluator(f"Kq[q={q}]", n, ev, q)
+    return KernelEvaluator(f"Kq[q={q}]", n, ev)
 
 
 # -- parametrix -----------------------------------------------------------------
@@ -361,6 +345,21 @@ def _packed_form(n: int, q: int, k: np.ndarray) -> DoubleForm:
                           for j, a in enumerate(keys)})
 
 
+def packed_coefficients(f: DoubleForm, q: int) -> np.ndarray:
+    """The inverse of `_packed_form`: the (C(n,q), C(n,q)) array k of a
+    coordinate-frame value sum k[B, A] dzetabar^B ^ dz^A.  KernelError on
+    any other frame or coefficient key."""
+    if f.frame != forms.COORD_FRAME:
+        raise KernelError(f"packing needs coordinate frames, got {f.frame}")
+    index = {key: i for i, key in enumerate(combinations(range(1, f.n + 1), q))}
+    k = np.zeros((len(index), len(index)), dtype=complex)
+    for (a, b, c, d), v in f.coeffs.items():
+        if a or d or b not in index or c not in index:
+            raise KernelError(f"coefficient {(a, b, c, d)} is not of the form ((), B, A, ())")
+        k[index[b], index[c]] = v
+    return k
+
+
 def gamma0q_packed(model: DomainModel, q: int, rho2) -> np.ndarray:
     """Gamma_0q packed as in `_packed_form`, for rho2 of any shape: the
     normalized q-th wedge power of the mixed form, (-1)^(q(q-1)/2) C_q(H),
@@ -384,7 +383,7 @@ def gamma0q(model: DomainModel, q: int) -> KernelEvaluator:
     def ev(zeta, z):
         return _packed_form(n, q, gamma0q_packed(model, q, model.rho2(zeta, z)))
 
-    return KernelEvaluator(f"Gamma0q[q={q}]", n, ev, q, claimed_type=2)
+    return KernelEvaluator(f"Gamma0q[q={q}]", n, ev)
 
 
 # -- homotopy kernels -----------------------------------------------------------
@@ -408,7 +407,7 @@ def tq(model: DomainModel, q: int) -> KernelEvaluator:
             mid_v = forms.hodge_star(conj_form(k0.eval(zeta, z)), "zeta")
             return vt.eval(zeta, z) - mid_v + dg.eval(zeta, z)
 
-    return KernelEvaluator(f"Tq[q={q}]", n, ev, q, claimed_type=1)
+    return KernelEvaluator(f"Tq[q={q}]", n, ev)
 
 
 def h_numeric(model: DomainModel, q: int) -> KernelEvaluator:
@@ -419,7 +418,7 @@ def h_numeric(model: DomainModel, q: int) -> KernelEvaluator:
     def ev(zeta, z):
         return vt.eval(zeta, z) - mid.eval(zeta, z)
 
-    return KernelEvaluator(f"Hnum[q={q}]", model.n, ev, q)
+    return KernelEvaluator(f"Hnum[q={q}]", model.n, ev)
 
 
 # -- printed main terms -----------------------------------------------------------
@@ -461,7 +460,7 @@ def lq_main(model: DomainModel, q: int) -> KernelEvaluator:
                 _put_adapted(coeffs, coef * lb[j - 1], ((n,), (j,), L), L)
         return forms.to_coord(DoubleForm(n, coeffs, (ADAPTED, ADAPTED)), Uz, Uw)
 
-    return KernelEvaluator(f"Lq_main[q={q}]", n, ev, q, claimed_type=2)
+    return KernelEvaluator(f"Lq_main[q={q}]", n, ev)
 
 
 def gq(model: DomainModel, q: int) -> KernelEvaluator:
@@ -473,7 +472,6 @@ def gq(model: DomainModel, q: int) -> KernelEvaluator:
         # the weight divides by n - mu - 2, which is 0 at mu = n - 2
         raise KernelError(f"G_L needs q >= 1, got q={q}")
     cnq = coefficient_c(n, q)
-    const = -(2.0 ** (n - 1)) * factorial(n - 2) / (2 * pi) ** n
     all_L = list(combinations(range(1, n + 1), q))
 
     def ev(zeta, z):
@@ -481,12 +479,12 @@ def gq(model: DomainModel, q: int) -> KernelEvaluator:
         pair = model.geo_pair(zeta, z)
         P = pair.big_p
         # omega-bar^{nQ} written with n first equals (-1)^{|Q|} sorted order
-        val_n = const * P ** (1 - n) * (-1.0) ** (q - 1)
+        val_n = conormal_weight(n, P) * (-1.0) ** (q - 1)
         s = neumann_tangential_scalar(n, q, pair.gamma, pair.gamma_star, pair.phi, P)
         coeffs = {((), L, L, ()): val_n if n in L else cnq * s for L in all_L}
         return forms.change_frame_zeta(DoubleForm(n, coeffs, (ADAPTED, ADAPTED)), Uz, COORD)
 
-    return KernelEvaluator(f"Gq[q={q}]", n, ev, q, claimed_type=2)
+    return KernelEvaluator(f"Gq[q={q}]", n, ev)
 
 
 def hq_main(model: DomainModel, q: int) -> KernelEvaluator:
@@ -519,7 +517,7 @@ def hq_main(model: DomainModel, q: int) -> KernelEvaluator:
                 _put_adapted(coeffs, cb, ((n,), L), L)
         return forms.change_frame_zeta(DoubleForm(n, coeffs, (ADAPTED, ADAPTED)), Uz, COORD)
 
-    return KernelEvaluator(f"Hq_main[q={q}]", n, ev, q, claimed_type=1)
+    return KernelEvaluator(f"Hq_main[q={q}]", n, ev)
 
 
 # -- principal Neumann kernel -----------------------------------------------------
@@ -536,6 +534,12 @@ def tau_nu_split(model: DomainModel, zeta, z, Uz: np.ndarray,
     nu = mad.filter_keys(lambda k: n in k[1] or n in k[2])
     tau = mad - nu
     return tau, nu
+
+
+def conormal_weight(n: int, P):
+    """-2^(n-1) (n-2)! / (2 pi)^n P^(1-n): the weight of the entries of G
+    and N_q whose labels hold the conormal label n."""
+    return -(2.0 ** (n - 1)) * factorial(n - 2) / (2 * pi) ** n * P ** (1 - n)
 
 
 def neumann_tangential_scalar(n: int, q: int, g, gs, phi, P):
@@ -571,9 +575,7 @@ def nq_rows(model: DomainModel, q: int):
     if not (1 <= q <= n - 2):
         raise KernelError(f"q={q} out of range for n={n}")
     sign = (-1.0) ** (q * (q - 1) // 2)
-    pref = 2.0 ** (n - 2) / (2 * pi) ** n * factorial(n - q - 2)
-    tan_const = sign * factorial(q) * pref
-    nu_const = -sign * 2.0 ** (n - 1) * factorial(n - 2) / (2 * pi) ** n
+    tan_const = sign * coefficient_c(n, q)
     has_n = np.array([n in key for key in combinations(range(1, n + 1), q)])
     tan_keys = np.flatnonzero(~has_n)
     n_keys = np.flatnonzero(has_n)
@@ -587,7 +589,7 @@ def nq_rows(model: DomainModel, q: int):
         Uw = model.frame(pair.z)
         A = (Uc.reshape(-1, n) @ (model.levi_inv @ Uw.conj().T)).reshape(Uc.shape)
         CA = compound(A, q)
-        nu_w = nu_const * P ** (1 - n)
+        nu_w = sign * conormal_weight(n, P)
         body = nu_w[:, None, None] * CA
         tan_block = (slice(None), tan_keys[:, None], tan_keys)
         body[tan_block] = (tan_const * s)[:, None, None] * CA[tan_block]
@@ -611,7 +613,7 @@ def nq(model: DomainModel, q: int) -> KernelEvaluator:
     def ev(zeta, z):
         return _packed_form(model.n, q, rows(np.asarray(zeta)[None, :], z)[0])
 
-    return KernelEvaluator(f"Nq[q={q}]", model.n, ev, q, claimed_type=2)
+    return KernelEvaluator(f"Nq[q={q}]", model.n, ev)
 
 
 def theta_coefficient(f: DoubleForm, L: tuple[int, ...]) -> DoubleForm:

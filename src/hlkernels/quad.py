@@ -17,7 +17,7 @@ import numpy as np
 from . import forms, kernels
 from .domain import DomainModel
 from .forms import DoubleForm
-from .kernels import KernelEvaluator
+from .kernels import KernelError, KernelEvaluator
 
 
 class QuadError(Exception):
@@ -90,8 +90,6 @@ class FormField:
     """Per-cell values of a (0,q) form, packed over the index basis."""
 
     grid: Grid
-    q: int
-    keys: tuple[tuple[int, ...], ...]
     data: np.ndarray             # (ncells, ncomp) complex
 
     def norm_pointwise(self) -> np.ndarray:
@@ -102,30 +100,28 @@ def anti_keys(n: int, q: int) -> tuple[tuple[int, ...], ...]:
     return tuple(combinations(range(1, n + 1), q))
 
 
-def field_from_function(grid: Grid, q: int, func) -> FormField:
+def field_from_function(grid: Grid, func) -> FormField:
     """Sample a field, func.batch(points) -> (points, ncomp), at the cells."""
-    return FormField(grid, q, anti_keys(grid.n, q), func.batch(grid.centers))
+    return FormField(grid, func.batch(grid.centers))
 
 
 def weighted_lp_norm(f: FormField, a: float, p: float) -> float:
     """(sum |gamma^a f|^p vol)^(1/p) with the pointwise metric norm; p=inf max."""
     if len(f.grid) == 0:
         raise QuadError("empty grid")
-    w = f.grid.gamma_values ** a * f.norm_pointwise()
+    return norm_values(f.norm_pointwise(), f.grid.gamma_values, f.grid.cell_volume, a, p)
+
+
+def norm_values(values: np.ndarray, gammas: np.ndarray, vol: float,
+                a: float, p: float) -> float:
+    """(sum |gamma^a values|^p vol)^(1/p) of sampled pointwise norms, each
+    sample carrying the volume vol; p=inf max."""
+    w = gammas ** a * values
     if p == np.inf:
         return float(np.max(w))
     if p < 1:
         raise QuadError("p must be >= 1")
-    return float((np.sum(w ** p) * f.grid.cell_volume) ** (1.0 / p))
-
-
-def norm_values(values: np.ndarray, gammas: np.ndarray, vol_weights: np.ndarray,
-                a: float, p: float) -> float:
-    """Weighted L^p norm of sampled pointwise norms with explicit weights."""
-    w = gammas ** a * values
-    if p == np.inf:
-        return float(np.max(w))
-    return float((np.sum(w ** p * vol_weights)) ** (1.0 / p))
+    return float((np.sum(w ** p) * vol) ** (1.0 / p))
 
 
 # -- operator application -------------------------------------------------------
@@ -162,14 +158,20 @@ def apply_kernel(kernel: KernelEvaluator | None, f_func, grid: Grid,
                  batch_eval=None) -> np.ndarray:
     """Apply the integral operator of `kernel` to the (0,q) field f_func, at
     each target point.  f_func.batch(points) returns (points, ncomp), or
-    (points, ..., ncomp) for a stack of fields when batch_eval is given.
-    Returns (ntargets, ..., ncomp) output components in the conjugate z
-    basis.  batch_eval, when given, must return the packed kernel coefficient
-    array (nodes, ncomp_in, ncomp_out) for fixed z; it is then evaluated once
-    per target, and applied to every field of the stack at once."""
-    n = grid.n
-    keys = anti_keys(n, q)
-    index = {k: j for j, k in enumerate(keys)}
+    (points, ..., ncomp) for a stack of fields.  Returns (ntargets, ...,
+    ncomp) output components in the conjugate z basis.  batch_eval returns
+    the packed kernel coefficient array (nodes, ncomp_in, ncomp_out) for
+    fixed z; without it the values of `kernel` are packed node by node by
+    `kernels.packed_coefficients`, QuadError where they do not pack.  The
+    kernel is evaluated once per target, and applied to every field of the
+    stack at once."""
+    if batch_eval is None:
+        def batch_eval(nodes, z):
+            values = [kernel.eval(c, z) for c in nodes]
+            try:
+                return np.array([kernels.packed_coefficients(v, q) for v in values])
+            except KernelError as e:
+                raise QuadError(f"{kernel.id}: {e}") from None
     base_data = f_func.batch(grid.centers)
     out = np.zeros((len(targets),) + base_data.shape[1:], dtype=complex)
     for ti, z in enumerate(np.asarray(targets, dtype=complex)):
@@ -177,31 +179,17 @@ def apply_kernel(kernel: KernelEvaluator | None, f_func, grid: Grid,
         nodes = np.concatenate([grid.centers[far], sub])
         vols = np.concatenate([far_vols, sub_vols])
         far_data = base_data[far]
-        if batch_eval is not None:
-            # The field is sampled and contracted in blocks of nodes, so the
-            # working arrays have the same size whatever the target's node
-            # count; only the kernel array itself spans all the nodes.
-            K = batch_eval(nodes, z)
-            for lo in range(0, len(nodes), BLOCK_NODES):
-                hi = min(lo + BLOCK_NODES, len(nodes))
-                fdata = _field_rows(f_func, far_data, sub, lo, hi)
-                out[ti] += np.einsum("i...b,iba->...a", fdata,
-                                     K[lo:hi].conj() * vols[lo:hi, None, None],
-                                     optimize=True)
-            del K
-        else:
-            fdata = _field_rows(f_func, far_data, sub, 0, len(nodes))
-            acc = np.zeros(len(keys), dtype=complex)
-            for i, c in enumerate(nodes):
-                kv = kernel.eval(c, z)
-                fv = DoubleForm(n, {((), k, (), ()): fdata[i, j]
-                                    for j, k in enumerate(keys) if fdata[i, j] != 0})
-                pv = forms.pair_pointwise(fv, kv)
-                if pv is None:
-                    continue
-                for (_, _, _, d), v in pv.coeffs.items():
-                    acc[index[d]] += v * vols[i]
-            out[ti] = acc
+        # The field is sampled and contracted in blocks of nodes, so the
+        # working arrays have the same size whatever the target's node
+        # count; only the kernel array itself spans all the nodes.
+        K = batch_eval(nodes, z)
+        for lo in range(0, len(nodes), BLOCK_NODES):
+            hi = min(lo + BLOCK_NODES, len(nodes))
+            fdata = _field_rows(f_func, far_data, sub, lo, hi)
+            out[ti] += np.einsum("i...b,iba->...a", fdata,
+                                 K[lo:hi].conj() * vols[lo:hi, None, None],
+                                 optimize=True)
+        del K
     return out
 
 
@@ -218,17 +206,15 @@ def _field_rows(f_func, far_data: np.ndarray, sub: np.ndarray,
 
 def pair_operator(kernel: KernelEvaluator, f_func, grid: Grid, z: np.ndarray,
                   q: int) -> DoubleForm:
-    """Single-target quadrature of the kernel pairing; 0 on type mismatch."""
-    if not grid.model.in_domain(np.asarray(z, dtype=complex)):
+    """Single-target quadrature of the kernel pairing; 0 on type mismatch,
+    which the zeta degree of one kernel value tells."""
+    z = np.asarray(z, dtype=complex)
+    if not grid.model.in_domain(z):
         raise QuadError("target outside the domain")
-    probe = kernel.eval(grid.centers[0], np.asarray(z, dtype=complex))
-    fv0 = DoubleForm(grid.n, {((), k, (), ()): 1.0 for k in anti_keys(grid.n, q)})
-    if forms.pair_pointwise(fv0, probe) is None:
+    if kernel.eval(grid.centers[0], z).zeta_degree() != (0, q):
         return DoubleForm.zero(grid.n)
-    vals = apply_kernel(kernel, f_func, grid, np.asarray([z], dtype=complex), q)
-    keys = anti_keys(grid.n, q)
-    return DoubleForm(grid.n, {((), (), (), k): vals[0, j]
-                               for j, k in enumerate(keys) if vals[0, j] != 0})
+    vals = apply_kernel(kernel, f_func, grid, z[None, :], q)[0]
+    return DoubleForm(grid.n, {((), (), (), k): v for k, v in zip(anti_keys(grid.n, q), vals)})
 
 
 # -- vectorized kernels ---------------------------------------------------------
@@ -352,7 +338,6 @@ def ratio_table(model: DomainModel, kernel_name: str, q: int,
         raise QuadError(f"no vectorized kernel {kernel_name!r}")
     if eps is None:
         eps = 2.0 * (2.0 * GRID_BOX / min(resolutions))
-    keys = anti_keys(n, kq)
     fields = [random_test_field(model, kq, seed=seed + 100 * trial)
               for trial in range(trials)]
     gam_t = model.gamma(targets)
@@ -360,11 +345,11 @@ def ratio_table(model: DomainModel, kernel_name: str, q: int,
     for res in resolutions:
         h = 2.0 * GRID_BOX / res
         grid = make_grid(model, h, eps=eps)
-        tw = np.full(len(targets), grid.total_volume() / len(targets))
+        tw = grid.total_volume() / len(targets)
         sampled = _FieldStack(fields).batch(grid.centers)
         kept, denoms = [], []
         for trial in range(trials):
-            f = FormField(grid, kq, keys, sampled[:, trial])
+            f = FormField(grid, sampled[:, trial])
             denom = weighted_lp_norm(f, b, p) + weighted_lp_norm(f, 0.0, 2)
             if denom >= 1e-14:
                 kept.append(trial)
@@ -399,6 +384,10 @@ def _field_forms(model: DomainModel, seed: int, q: int):
     coef = rng.standard_normal(len(keys)) + 1j * rng.standard_normal(len(keys))
     R = 0.75
 
+    def form(c) -> DoubleForm:
+        """c times the field's constant coefficients."""
+        return DoubleForm(n, {((), k, (), ()): coef[j] * c for j, k in enumerate(keys)})
+
     def parts(zeta):
         zeta = np.asarray(zeta, dtype=complex)
         u = float(np.sum(np.abs(zeta) ** 2)) / R ** 2
@@ -410,28 +399,15 @@ def _field_forms(model: DomainModel, seed: int, q: int):
         return amp, -amp / (1.0 - u) ** 2 * du_dz, -amp / (1.0 - u) ** 2 * du_dzb
 
     def value(zeta) -> DoubleForm:
-        amp, _, _ = parts(zeta)
-        return DoubleForm(model.n, {((), k, (), ()): coef[j] * amp
-                                    for j, k in enumerate(keys)})
+        return form(parts(zeta)[0])
 
     def dbar(zeta) -> DoubleForm:
-        _, _, dzb = parts(zeta)
-        out = DoubleForm.zero(n)
-        for j, k in enumerate(keys):
-            for m in range(1, n + 1):
-                mono = forms.wedge(DoubleForm.monomial(n, az=(m,)),
-                                   DoubleForm.monomial(n, az=k))
-                out = out + mono.scale(coef[j] * dzb[m - 1])
-        return out
+        return forms.differential(n, "az", [form(c) for c in parts(zeta)[2]])
 
     def vartheta(zeta) -> DoubleForm:
-        _, dz, _ = parts(zeta)
-        dsv = DoubleForm.zero(n)
-        for m in range(1, n + 1):
-            comp = forms.hodge_star(
-                DoubleForm(n, {((), k, (), ()): coef[j] * dz[m - 1]
-                               for j, k in enumerate(keys)}), "zeta")
-            dsv = dsv + forms.wedge(DoubleForm.monomial(n, hz=(m,)), comp)
+        """-*d*, as `kernels.kernel_vartheta_zeta` assembles it."""
+        dsv = forms.differential(n, "hz", [forms.hodge_star(form(c), "zeta")
+                                           for c in parts(zeta)[1]])
         return forms.hodge_star(dsv, "zeta").scale(-1.0)
 
     return value, dbar, vartheta

@@ -17,6 +17,7 @@ from . import forms, kernels, quad
 from .domain import DomainError, DomainModel, make_domain
 
 ZERO_FLOOR = 1e-13
+DEFAULT_TGRID = tuple(2.0 ** (-k) for k in range(3, 11))
 
 # Versioned defaults for every suite threshold; reports embed the values used.
 # Clean geometric claims carry a 0.1 slope margin; finite-difference kernel
@@ -48,7 +49,7 @@ class PathSpec:
     model: DomainModel
     base: np.ndarray
     mode: str = "parabolic"
-    t_grid: tuple[float, ...] = tuple(2.0 ** (-k) for k in range(3, 11))
+    t_grid: tuple[float, ...] = DEFAULT_TGRID
     seed: int = 0
 
     def pairs(self) -> list[tuple[float, np.ndarray, np.ndarray]]:
@@ -514,9 +515,6 @@ SUITES = {
     "lp-morse": suite_lp_morse,
     "adjointness": suite_adjointness,
 }
-
-DEFAULT_TGRID = tuple(2.0 ** (-k) for k in range(3, 11))
-
 
 # Least form degree q each kernel suite is defined for; all of them need
 # q <= n - 2 as well.  The other suites do not read q.

@@ -89,7 +89,6 @@ def test_lq_bidegree_and_claimed_type():
     v = k.eval(c(0.98, 0.1, 0.05), c(0.9, 0.12, 0.04))
     assert v.zeta_degree() == (0, 3)
     assert v.z_degree() == (1, 0)
-    assert k.claimed_type == 2
 
 
 # -- closed-form jets against the finite-difference oracle --------------------------
@@ -359,7 +358,7 @@ def _gq_in_coordinates(model, q):
     def ev(zeta, z):
         return forms.change_frame_z(g.eval(zeta, z), model.frame(z), forms.COORD)
 
-    return kernels.KernelEvaluator("Gq_coord", model.n, ev, q)
+    return kernels.KernelEvaluator("Gq_coord", model.n, ev)
 
 
 @pytest.mark.parametrize("name,n,q", [("ball", 3, 1), ("pinched", 4, 2)])
@@ -536,8 +535,6 @@ def test_nq_bidegree_and_gnq_value():
 
 def test_nq_main_terms_have_type_two():
     from hlkernels import typecalc as tc
-    nk = kernels.nq(BALL3, 1)
-    assert nk.claimed_type == 2
     assert all(tc.admissible_type(d, 3) == 2 for d in tc.neumann_main_terms(3, 1))
 
 

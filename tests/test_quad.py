@@ -52,7 +52,7 @@ def test_grid_rejects_bad_h():
 
 def test_constant_field_l2_matches_volume():
     g = make_grid(BALL2, 0.1)
-    f = field_from_function(g, 0, Constant(1.0))
+    f = field_from_function(g, Constant(1.0))
     vol_exact = 4 * np.pi ** 2 * (1 - g.eps) ** 2 / 2
     assert weighted_lp_norm(f, 0, 2) == pytest.approx(np.sqrt(vol_exact), rel=0.05)
 
@@ -60,10 +60,10 @@ def test_constant_field_l2_matches_volume():
 def test_norm_inequalities_and_zero():
     g = make_grid(BALL2, 0.15)
     rng = np.random.default_rng(0)
-    f = field_from_function(g, 0, Noise(rng, 1))
+    f = field_from_function(g, Noise(rng, 1))
     vol = g.total_volume()
     assert weighted_lp_norm(f, 0, 1) <= np.sqrt(vol) * weighted_lp_norm(f, 0, 2) + 1e-9
-    z = field_from_function(g, 0, Constant(0.0))
+    z = field_from_function(g, Constant(0.0))
     assert weighted_lp_norm(z, 0, 2) == 0.0
     assert weighted_lp_norm(f, 0, np.inf) == pytest.approx(f.norm_pointwise().max())
 
@@ -71,7 +71,7 @@ def test_norm_inequalities_and_zero():
 def test_inner_product_norm_consistency():
     g = make_grid(BALL2, 0.2)
     rng = np.random.default_rng(1)
-    f = field_from_function(g, 1, Noise(rng, len(anti_keys(2, 1))))
+    f = field_from_function(g, Noise(rng, len(anti_keys(2, 1))))
     ip = np.sum(np.abs(f.data) ** 2) * g.cell_volume
     assert weighted_lp_norm(f, 0, 2) == pytest.approx(np.sqrt(ip), rel=1e-12)
 
@@ -177,6 +177,85 @@ def test_adjointness_residual_near_machine_zero():
     assert res < 1e-12
 
 
+def _max_coeff_diff(f, g):
+    return max((abs(f.component(k) - g.component(k)) for k in f.coeffs.keys() | g.coeffs.keys()),
+               default=0.0)
+
+
+@pytest.mark.parametrize("model", [BALL2, BALL3, domain.pinched(3)],
+                         ids=["ball2", "ball3", "pinched3"])
+@pytest.mark.parametrize("q", [0, 1])
+def test_certificate_operators_are_the_kernel_operators(model, q):
+    # the certificate's exact dbar and vartheta of a field against the
+    # kernels' finite-difference operators on K(zeta, z) = field(zeta)
+    value, dbar, vartheta = quad._field_forms(model, seed=3, q=q)
+    k = kernels.KernelEvaluator("field", model.n, lambda zeta, z: value(zeta))
+    k_dbar = kernels.kernel_derivative(k, "dbar", "zeta")
+    k_vartheta = kernels.kernel_vartheta_zeta(k)
+    z = np.full(model.n, 1.5 + 0.5j)
+    for zeta in (np.array([0.2 + 0.1j, -0.15j, 0.1])[:model.n],
+                 np.array([-0.3, 0.1 + 0.2j, -0.05 + 0.1j])[:model.n]):
+        d, v = dbar(zeta), vartheta(zeta)
+        assert _max_coeff_diff(d, k_dbar.eval(zeta, z)) <= 1e-9 * d.norm()
+        assert _max_coeff_diff(v, k_vartheta.eval(zeta, z)) <= 1e-9 * v.norm()
+        # vartheta of a function is 0, of a (0,1) form it is not
+        assert d.norm() > 0 and (v.norm() > 0 if q else v.is_zero())
+
+
+@pytest.mark.parametrize("build, model, q", [
+    (kernels.nq, BALL3, 1), (kernels.nq, BALL4, 2), (kernels.nq, domain.pinched(4), 1),
+    (kernels.gamma0q, BALL3, 0), (kernels.gamma0q, BALL3, 1), (kernels.gamma0q, BALL3, 2),
+], ids=["Nq-ball3-1", "Nq-ball4-2", "Nq-pinched4-1", "Gamma0q-0", "Gamma0q-1", "Gamma0q-2"])
+def test_packed_contraction_is_the_pairing(build, model, q):
+    # apply_kernel's einsum against one packed kernel value is the pointwise
+    # pairing f ^ *_zeta conj(K) of the forms algebra, node by node
+    n = model.n
+    kernel = build(model, q)
+    keys = anti_keys(n, q)
+    rng = np.random.default_rng(4)
+    z = np.array([0.2 + 0.1j, -0.1] + [0.05j] * (n - 2))
+    for zeta in (np.array([0.1, 0.2j] + [-0.1] * (n - 2)),
+                 np.array([-0.15 + 0.1j, 0.05] + [0.1 - 0.05j] * (n - 2))):
+        fc = rng.standard_normal(len(keys)) + 1j * rng.standard_normal(len(keys))
+        v = kernel.eval(zeta, z)
+        got = np.einsum("b,ba->a", fc, kernels.packed_coefficients(v, q).conj())
+        f = forms.DoubleForm(n, {((), kb, (), ()): fc[j] for j, kb in enumerate(keys)})
+        pv = forms.pair_pointwise(f, v)
+        want = np.array([pv.component(((), (), (), ka)) for ka in keys])
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
+
+def test_pair_operator_is_the_sum_of_pointwise_pairings():
+    g = make_grid(BALL2, 0.3, eps=0.2)
+    k = kernels.gamma0q(BALL2, 1)
+    f_func = quad.random_test_field(BALL2, 1, seed=6)
+    z = np.array([0.1 - 0.05j, 0.2j])
+    far, far_vols, sub, sub_vols = quad._split_nodes(g, z)
+    nodes = np.concatenate([g.centers[far], sub])
+    vols = np.concatenate([far_vols, sub_vols])
+    want = forms.DoubleForm.zero(2)
+    for c, fc, vol in zip(nodes, f_func.batch(nodes), vols):
+        f = forms.DoubleForm(2, {((), kb, (), ()): fc[j] for j, kb in enumerate(anti_keys(2, 1))})
+        want = want + forms.pair_pointwise(f, k.eval(c, z)).scale(vol)
+    got = quad.pair_operator(k, f_func, g, z, q=1)
+    assert want.norm() > 0
+    assert _max_coeff_diff(got, want) <= 1e-12 * want.norm()
+
+
+@pytest.mark.parametrize("kernel, q", [
+    (kernels.KernelEvaluator("dzbar", 2, lambda zeta, z: forms.DoubleForm.monomial(2, aw=(1,))), 0),
+    (kernels.gq(BALL3, 1), 1),
+], ids=["aw-slot", "gq-adapted"])
+def test_packing_rejects_what_it_cannot_pack(kernel, q):
+    # two far cells and no subcells, so the error comes from packing
+    n = kernel.n
+    centers = np.array([[0.3] + [0.0] * (n - 1), [0.0, 0.3j] + [0.0] * (n - 2)])
+    g = quad.Grid(domain.ball(n), 0.1, 0.2, centers, 0.01)
+    with pytest.raises(QuadError):
+        apply_kernel(kernel, Constant(*([1.0] * len(anti_keys(n, q)))), g,
+                     np.array([[-0.3] + [0.0] * (n - 1)]), q)
+
+
 def test_ratio_table_deterministic_and_metadata():
     rep1 = ratio_table(BALL2, "E", 0, a=0, b=0, p=2, s=3.5, trials=2,
                        resolutions=[8, 10], seed=11)
@@ -205,11 +284,11 @@ def _per_trial_ratios(model, kernel_name, q, a, b, p, s, trials, res, seed, n_ta
     h = 2.0 * quad.GRID_BOX / res
     grid = make_grid(model, h, eps=2.0 * h)
     gam_t = np.array([model.gamma(z) for z in targets])
-    tw = np.full(len(targets), grid.total_volume() / len(targets))
+    tw = grid.total_volume() / len(targets)
     out = []
     for trial in range(trials):
         f_func = quad.random_test_field(model, q, seed=seed + 100 * trial)
-        f = field_from_function(grid, q, f_func)
+        f = field_from_function(grid, f_func)
         denom = weighted_lp_norm(f, b, p) + weighted_lp_norm(f, 0.0, 2)
         vals = np.linalg.norm(apply_kernel(None, f_func, grid, targets, q,
                                            batch_eval=batch), axis=1)
@@ -237,7 +316,7 @@ def test_ratio_table_kernel_reuse_keeps_the_numbers(model, kernel_name, q, a, b,
 def test_field_from_function_batch_equals_pointwise():
     g = make_grid(BALL3, 0.3)
     f_func = quad.random_test_field(BALL3, 1, seed=2)
-    f = field_from_function(g, 1, f_func)
+    f = field_from_function(g, f_func)
     # one point at a time, as the blocked kernel application samples subsets
     want = np.array([f_func.batch(c[None, :])[0] for c in g.centers])
     np.testing.assert_allclose(f.data, want, rtol=1e-14, atol=0)
