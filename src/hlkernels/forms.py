@@ -305,24 +305,47 @@ def _star_orthonormal(f: DoubleForm, variable: str) -> DoubleForm:
     return DoubleForm(f.n, out, f.frame)
 
 
+def anti_keys(n: int, q: int) -> tuple[MultiIndex, ...]:
+    """The q-subsets of 1..n in packed order: the rows and columns of
+    `compound` and of every packed (0, q) coefficient array."""
+    return tuple(combinations(range(1, n + 1), q))
+
+
+def compound(m: np.ndarray, q: int) -> np.ndarray:
+    """q-th compound of square matrices (..., n, n): the minors det m[B, A]
+    for the q-subsets B, A of the indices in `anti_keys` order.  A q-fold
+    wedge of sum m[b, a] dv_b ^ dw_a, and a frame change of a q-form, act on
+    packed coefficients through it (Cauchy-Binet)."""
+    if q == 1:
+        return m
+    if q == 0:
+        return np.ones(m.shape[:-2] + (1, 1), dtype=m.dtype)
+    n = m.shape[-1]
+    keys = list(combinations(range(n), q))
+    # Laplace expansion of each minor along its first row
+    lower = compound(m, q - 1)
+    pos = {key: i for i, key in enumerate(combinations(range(n), q - 1))}
+    first = np.array([b[0] for b in keys])[:, None]
+    rest = np.array([pos[b[1:]] for b in keys])[:, None]
+    out = np.zeros(m.shape[:-2] + (len(keys), len(keys)), dtype=np.result_type(m, 1.0))
+    for k in range(q):
+        col = np.array([a[k] for a in keys])[None, :]
+        minor = np.array([pos[a[:k] + a[k + 1:]] for a in keys])[None, :]
+        term = m[..., first, col] * lower[..., rest, minor]
+        out += -term if k % 2 else term
+    return out
+
+
 def transform_slot(f: DoubleForm, slot: int, V: np.ndarray) -> DoubleForm:
-    """Rewrite one index slot under a basis change old_j = sum_a V[j,a] new_a."""
+    """Rewrite one index slot under a basis change old_j = sum_a V[j,a] new_a:
+    a label of degree k maps through its row of compound(V, k)."""
     n = f.n
     out: dict[Key, complex] = {}
-    minors: dict[tuple[MultiIndex, MultiIndex], complex] = {}
-
-    def minor(rows: MultiIndex, cols: MultiIndex) -> complex:
-        mkey = (rows, cols)
-        if mkey not in minors:
-            sub = V[np.ix_([r - 1 for r in rows], [c - 1 for c in cols])]
-            minors[mkey] = complex(np.linalg.det(sub)) if rows else 1.0
-        return minors[mkey]
-
+    minors = {k: compound(V, k).tolist() for k in {len(key[slot]) for key in f.coeffs}}
     for key, v in f.coeffs.items():
         old = key[slot]
-        k = len(old)
-        for new in combinations(range(1, n + 1), k):
-            m = minor(old, new)
+        keys = anti_keys(n, len(old))
+        for new, m in zip(keys, minors[len(old)][keys.index(old)]):
             if m == 0:
                 continue
             nk = list(key)

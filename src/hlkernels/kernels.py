@@ -14,7 +14,6 @@ Richardson level, so the error orders are measurable and controlled per path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb, factorial, pi
 from typing import Callable
 
@@ -22,7 +21,8 @@ import numpy as np
 
 from . import forms
 from .domain import DomainModel
-from .forms import ADAPTED, COORD, DoubleForm, conj_form, wedge, wedge_power
+from .forms import (ADAPTED, COORD, DoubleForm, anti_keys, compound, conj_form, wedge,
+                    wedge_power)
 
 
 class KernelError(Exception):
@@ -312,35 +312,10 @@ def mixed_rho2_form(model: DomainModel, zeta, z) -> DoubleForm:
     return DoubleForm(n, coeffs)
 
 
-def compound(m: np.ndarray, q: int) -> np.ndarray:
-    """q-th compound of square matrices (..., n, n): the minors det m[B, A]
-    for the q-subsets B, A of the indices in `combinations` order.  A q-fold
-    wedge of sum m[b, a] dv_b ^ dw_a, and a frame change of a q-form, act on
-    packed coefficients through it (Cauchy-Binet)."""
-    if q == 1:
-        return m
-    if q == 0:
-        return np.ones(m.shape[:-2] + (1, 1), dtype=m.dtype)
-    n = m.shape[-1]
-    keys = list(combinations(range(n), q))
-    # Laplace expansion of each minor along its first row
-    lower = compound(m, q - 1)
-    pos = {key: i for i, key in enumerate(combinations(range(n), q - 1))}
-    first = np.array([b[0] for b in keys])[:, None]
-    rest = np.array([pos[b[1:]] for b in keys])[:, None]
-    out = np.zeros(m.shape[:-2] + (len(keys), len(keys)), dtype=np.result_type(m, 1.0))
-    for k in range(q):
-        col = np.array([a[k] for a in keys])[None, :]
-        minor = np.array([pos[a[:k] + a[k + 1:]] for a in keys])[None, :]
-        term = m[..., first, col] * lower[..., rest, minor]
-        out += -term if k % 2 else term
-    return out
-
-
 def _packed_form(n: int, q: int, k: np.ndarray) -> DoubleForm:
     """sum k[B, A] dzetabar^B ^ dz^A, B and A the q-subsets in
-    `combinations` order."""
-    keys = list(combinations(range(1, n + 1), q))
+    `anti_keys` order."""
+    keys = anti_keys(n, q)
     return DoubleForm(n, {((), b, a, ()): k[i, j] for i, b in enumerate(keys)
                           for j, a in enumerate(keys)})
 
@@ -351,7 +326,7 @@ def packed_coefficients(f: DoubleForm, q: int) -> np.ndarray:
     any other frame or coefficient key."""
     if f.frame != forms.COORD_FRAME:
         raise KernelError(f"packing needs coordinate frames, got {f.frame}")
-    index = {key: i for i, key in enumerate(combinations(range(1, f.n + 1), q))}
+    index = {key: i for i, key in enumerate(anti_keys(f.n, q))}
     k = np.zeros((len(index), len(index)), dtype=complex)
     for (a, b, c, d), v in f.coeffs.items():
         if a or d or b not in index or c not in index:
@@ -390,33 +365,31 @@ def gamma0q(model: DomainModel, q: int) -> KernelEvaluator:
 
 
 def tq(model: DomainModel, q: int) -> KernelEvaluator:
-    """vartheta L_q - d_z L_{q-1} + dbar Gamma_{0q} for q >= 1; the q = 0
-    variant replaces the middle term by -*_zeta conj(K_0)."""
-    n = model.n
+    """vartheta L_q - d_z L_{q-1} + dbar Gamma_{0q}, the middle term as in
+    `h_numeric`."""
+    h = h_numeric(model, q)
     dg = kernel_derivative(gamma0q(model, q), "dbar", "zeta")
-    if q >= 1:
-        h = h_numeric(model, q)
 
-        def ev(zeta, z):
-            return h.eval(zeta, z) + dg.eval(zeta, z)
-    else:
-        vt = kernel_vartheta_zeta(lq(model, q))
-        k0 = kq(model, 0)
+    def ev(zeta, z):
+        return h.eval(zeta, z) + dg.eval(zeta, z)
 
-        def ev(zeta, z):
-            mid_v = forms.hodge_star(conj_form(k0.eval(zeta, z)), "zeta")
-            return vt.eval(zeta, z) - mid_v + dg.eval(zeta, z)
-
-    return KernelEvaluator(f"Tq[q={q}]", n, ev)
+    return KernelEvaluator(f"Tq[q={q}]", model.n, ev)
 
 
 def h_numeric(model: DomainModel, q: int) -> KernelEvaluator:
-    """vartheta L_q - d_z L_{q-1}: the part of T_q carrying the frame terms."""
+    """vartheta L_q - d_z L_{q-1}: the part of T_q carrying the frame terms.
+    At q = 0 the middle term is *_zeta conj(K_0)."""
     vt = kernel_vartheta_zeta(lq(model, q))
-    mid = kernel_derivative(lq(model, q - 1), "del", "z")
+    if q:
+        mid = kernel_derivative(lq(model, q - 1), "del", "z").eval
+    else:
+        k0 = kq(model, 0)
+
+        def mid(zeta, z):
+            return forms.hodge_star(conj_form(k0.eval(zeta, z)), "zeta")
 
     def ev(zeta, z):
-        return vt.eval(zeta, z) - mid.eval(zeta, z)
+        return vt.eval(zeta, z) - mid(zeta, z)
 
     return KernelEvaluator(f"Hnum[q={q}]", model.n, ev)
 
@@ -456,7 +429,7 @@ def lq_main(model: DomainModel, q: int) -> KernelEvaluator:
                              for mu in range(0, n - q - 1))
         coeffs = {}
         for j in range(1, n):
-            for L in combinations(range(1, n), q):
+            for L in anti_keys(n - 1, q):
                 _put_adapted(coeffs, coef * lb[j - 1], ((n,), (j,), L), L)
         return forms.to_coord(DoubleForm(n, coeffs, (ADAPTED, ADAPTED)), Uz, Uw)
 
@@ -472,7 +445,7 @@ def gq(model: DomainModel, q: int) -> KernelEvaluator:
         # the weight divides by n - mu - 2, which is 0 at mu = n - 2
         raise KernelError(f"G_L needs q >= 1, got q={q}")
     cnq = coefficient_c(n, q)
-    all_L = list(combinations(range(1, n + 1), q))
+    all_L = anti_keys(n, q)
 
     def ev(zeta, z):
         Uz = model.frame(zeta)
@@ -493,7 +466,7 @@ def hq_main(model: DomainModel, q: int) -> KernelEvaluator:
     slots carrying the adapted label L."""
     n = model.n
     cnq = coefficient_c(n, q)
-    all_L = list(combinations(range(1, n + 1), q))
+    all_L = anti_keys(n, q)
 
     def ev(zeta, z):
         Uz = model.frame(zeta)
@@ -501,11 +474,11 @@ def hq_main(model: DomainModel, q: int) -> KernelEvaluator:
         g, gs, phi, P = pair.gamma, pair.gamma_star, pair.phi, pair.big_p
         phib = np.conj(phi)
         lb = lbar_rho2(model, zeta, z, np.linalg.inv(Uz))
-        const = -(2.0 ** (n - 1)) / (2 * pi) ** n * factorial(n - 1) / P ** n
+        const = conormal_weight(n, P) * (n - 1) / P
         s = sum(comb(n - mu - 2, q) * g ** 2 * (mu + 1) / (phib ** (mu + 2) * P ** (n - mu - 1))
                 for mu in range(0, n - q - 1))
         s += 2 * comb(n - 2, q) * (n - 1) * (g / gs) * phi / (phib * P ** n)
-        cb = (2.0 ** (n - 2)) / (2 * pi) ** n * factorial(n - 1) * 4.0 * phi / (P ** n * g)
+        cb = -2 * phi / g * const
         coeffs = {}
         for L in all_L:
             if n in L:
@@ -576,7 +549,7 @@ def nq_rows(model: DomainModel, q: int):
         raise KernelError(f"q={q} out of range for n={n}")
     sign = (-1.0) ** (q * (q - 1) // 2)
     tan_const = sign * coefficient_c(n, q)
-    has_n = np.array([n in key for key in combinations(range(1, n + 1), q)])
+    has_n = np.array([n in key for key in anti_keys(n, q)])
     tan_keys = np.flatnonzero(~has_n)
     n_keys = np.flatnonzero(has_n)
 

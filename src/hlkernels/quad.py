@@ -10,13 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, product
+from itertools import product
 
 import numpy as np
 
 from . import forms, kernels
 from .domain import DomainModel
-from .forms import DoubleForm
+from .forms import DoubleForm, anti_keys
 from .kernels import KernelError, KernelEvaluator
 
 
@@ -94,10 +94,6 @@ class FormField:
 
     def norm_pointwise(self) -> np.ndarray:
         return np.sqrt(np.sum(np.abs(self.data) ** 2, axis=1))
-
-
-def anti_keys(n: int, q: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(combinations(range(1, n + 1), q))
 
 
 def field_from_function(grid: Grid, func) -> FormField:

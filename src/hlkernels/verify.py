@@ -9,7 +9,6 @@ for finite-difference kernel claims.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from itertools import combinations
 
 import numpy as np
 
@@ -325,7 +324,7 @@ def suite_dgh(model: DomainModel, n: int, q: int, seed: int,
     dg = kernels.kernel_derivative(kernels.gq(model, q), "dbar", "zeta")
     hk = kernels.hq_main(model, q)
     values = [(t, dg.eval(zeta, z), hk.eval(zeta, z)) for t, zeta, z in pairs]
-    for L in combinations(range(1, n + 1), q):
+    for L in forms.anti_keys(n, q):
         ts, mains, diffs = [], [], []
         for t, dgv, hv in values:
             b = kernels.theta_coefficient(hv, L)
@@ -400,7 +399,7 @@ def suite_nkern(model: DomainModel, n: int, q: int, seed: int,
         v = nk.eval(zz, zfix)
         U = model.frame(zz)
         vad = forms.change_frame_zeta(v, U, forms.ADAPTED)
-        normal = vad.filter_keys(lambda k: n in k[1])
+        normal = vad - forms.restrict_boundary(vad, U)
         tsb.append(t)
         fracs.append(normal.norm())
     sb, _ = slope_fit(tsb, fracs)

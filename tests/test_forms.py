@@ -327,6 +327,58 @@ def test_swap_variables_involution():
     assert (swap_variables(swap_variables(g)) - g).norm() < 1e-14
 
 
+def det_minor_transform(f, slot, V):
+    """The frame change with each k x k minor taken by np.linalg.det: the
+    oracle for `forms.transform_slot`, which reads them from `compound`."""
+    out = {}
+    for key, v in f.coeffs.items():
+        old = key[slot]
+        for new in idx(f.n, len(old)):
+            sub = V[np.ix_([r - 1 for r in old], [c - 1 for c in new])]
+            nk = key[:slot] + (new,) + key[slot + 1:]
+            out[nk] = out.get(nk, 0.0) + (np.linalg.det(sub) if old else 1.0) * v
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("slot", range(4))
+def test_transform_slot_matches_det_minors(n, slot):
+    rng = np.random.default_rng(10 * n + slot)
+    V = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+    def subset(k):
+        return tuple(sorted(rng.choice(np.arange(1, n + 1), k, replace=False).tolist()))
+
+    coeffs = {}
+    for k in range(n + 1):          # every degree in the slot, twice
+        for _ in range(2):
+            key = [subset(rng.integers(0, n + 1)) for _ in range(4)]
+            key[slot] = subset(k)
+            coeffs[tuple(key)] = complex(rng.standard_normal(), rng.standard_normal())
+    f = DoubleForm(n, coeffs)
+    got = forms.transform_slot(f, slot, V).coeffs
+    want = det_minor_transform(f, slot, V)
+    scale = max(abs(v) for v in want.values())
+    assert {len(key[slot]) for key in f.coeffs} == set(range(n + 1))
+    for key in got.keys() | want.keys():
+        assert abs(got.get(key, 0.0) - want.get(key, 0.0)) <= 1e-13 * scale, key
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_compound_entries_are_minors(n):
+    rng = np.random.default_rng(n)
+    m = rng.standard_normal((3, n, n)) + 1j * rng.standard_normal((3, n, n))
+    for q in range(n + 1):
+        keys = forms.anti_keys(n, q)
+        c = forms.compound(m, q)
+        assert c.shape == (3, len(keys), len(keys))
+        for i, b in enumerate(keys):
+            for j, a in enumerate(keys):
+                sub = m[:, [r - 1 for r in b]][:, :, [s - 1 for s in a]]
+                np.testing.assert_allclose(c[:, i, j], np.linalg.det(sub), rtol=1e-12,
+                                           atol=1e-12)
+
+
 def test_frame_change_roundtrip():
     n = 3
     rng = np.random.default_rng(8)

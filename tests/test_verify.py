@@ -84,13 +84,14 @@ def test_tq_slope_matches_type_prediction():
     assert abs(c["slope_measured"] - c["slope_required"]) <= 0.2
 
 
-# dgh on ball n=3, q=1, seed 0: (check, slope, exact), recorded when dgh
-# evaluated one G_L and one H_L per index set L
+# dgh on ball n=3, q=1, seed 0: (check, slope, exact), recorded when every
+# frame change took its minors from forms.compound (Laplace expansion) and
+# H its conormal constants from kernels.conormal_weight
 DGH_FROZEN = [
-    ("dbar-G-vs-H-ab-L=1", -5.993491522634887, False),
-    ("dbar-G-vs-H-ab-L=2", -6.011264351822823, False),
+    ("dbar-G-vs-H-ab-L=1", -5.993491522683619, False),
+    ("dbar-G-vs-H-ab-L=2", -6.011264351818629, False),
     ("dbar-G-vs-H-nQ-L=3", float("inf"), True),
-    ("case-c-components-small", -4.603958760414462, False),
+    ("case-c-components-small", -4.603958760246391, False),
 ]
 
 
