@@ -9,6 +9,12 @@ form itself: a scalar times a constant form.  So C_q and K_q are closed-form,
 a scalar mu-series times constant forms built once per kernel; kernel-level
 dbar / del / vartheta operators use central finite differences with one
 Richardson level, so the error orders are measurable and controlled per path.
+
+A derivative evaluates its whole stencil, 2n real directions times the four
+steps +-h, +-h/2, in one call of `KernelEvaluator.rows`.  `nq` (through
+`nq_rows`), `gamma0q` (through `gamma0q_packed`) and `kernel_star_zeta` of
+either have native rows of zeta, evaluated as arrays; every other kernel
+loops its pointwise `eval` over the rows, in that one method only.
 """
 
 from __future__ import annotations
@@ -40,11 +46,40 @@ class StepTooLarge(KernelError):
 @dataclass(frozen=True)
 class KernelEvaluator:
     """Named pure kernel (zeta, z) -> DoubleForm, coordinate frame; the z
-    slots of `gq` and `hq_main` are adapted."""
+    slots of `gq` and `hq_main` are adapted.
+
+    `zeta_rows`, where a kernel has it, evaluates the rows of zeta (P, n) at
+    one z in a single call: a list of P values or, when `packed_q` is set,
+    the packed array (P, C(n,q), C(n,q)) of `_packed_form` with q = packed_q.
+    """
 
     id: str
     n: int
     eval: Callable[[np.ndarray, np.ndarray], DoubleForm]
+    zeta_rows: Callable[[np.ndarray, np.ndarray], list | np.ndarray] | None = None
+    packed_q: int | None = None
+
+    @classmethod
+    def from_packed_rows(cls, kid: str, n: int, q: int, rows) -> "KernelEvaluator":
+        """The kernel whose values at rows of zeta are the packed arrays
+        rows(zeta_rows, z); its pointwise `eval` is the one-row case."""
+
+        def ev(zeta, z):
+            return _packed_form(n, q, rows(np.asarray(zeta)[None, :], z)[0])
+
+        return cls(kid, n, ev, rows, q)
+
+    def rows(self, pts: np.ndarray, other: np.ndarray, var: str = "zeta") -> list[DoubleForm]:
+        """The values at (pts[i], other), or at (other, pts[i]) for var = "z":
+        one call of `zeta_rows` where the kernel has it, else `eval` per row."""
+        if var != "zeta":
+            return [self.eval(other, p) for p in pts]
+        if self.zeta_rows is None:
+            return [self.eval(p, other) for p in pts]
+        vals = self.zeta_rows(pts, other)
+        if self.packed_q is None:
+            return vals
+        return [_packed_form(self.n, self.packed_q, k) for k in vals]
 
 
 def adjoint_kernel(k: KernelEvaluator) -> KernelEvaluator:
@@ -138,17 +173,21 @@ def _fd_scale(zeta: np.ndarray, z: np.ndarray) -> float:
     return FD_REL_STEP * d
 
 
-def _directional(evalf, base: np.ndarray, other: np.ndarray, j: int,
-                 delta: complex, h: float, var: str) -> DoubleForm:
-    """Richardson-extrapolated central difference along one real direction."""
+def _stencil(base: np.ndarray, h: float) -> np.ndarray:
+    """The 8n points of the derivative stencil at base: for each coordinate
+    j, along the real then the imaginary axis, the steps h, -h, h/2, -h/2."""
+    n = len(base)
+    shifts = [step * delta for delta in (1.0, 1.0j) for step in (h, -h, h / 2, -h / 2)]
+    pts = np.tile(np.asarray(base, dtype=complex), (8 * n, 1))
+    pts[np.arange(8 * n), np.repeat(np.arange(n), 8)] += np.tile(shifts, n)
+    return pts
 
-    def shifted(step):
-        pt = base.copy()
-        pt[j] += step * delta
-        return evalf(pt, other) if var == "zeta" else evalf(other, pt)
 
-    d1 = (shifted(h) - shifted(-h)).scale(1.0 / (2 * h))
-    d2 = (shifted(h / 2) - shifted(-h / 2)).scale(1.0 / h)
+def _richardson(at_h, at_mh, at_h2, at_mh2, h: float) -> DoubleForm:
+    """Richardson-extrapolated central difference from the values at the
+    steps h, -h, h/2 and -h/2 along one real direction."""
+    d1 = (at_h - at_mh).scale(1.0 / (2 * h))
+    d2 = (at_h2 - at_mh2).scale(1.0 / h)
     return d2.scale(4.0 / 3.0) - d1.scale(1.0 / 3.0)
 
 
@@ -166,8 +205,10 @@ def kernel_derivative(k: KernelEvaluator, op: str, var: str) -> KernelEvaluator:
     """op = "dbar" or "del" of a kernel in var = "zeta" or "z": the sum over j
     of d(var)bar_j ^ dK/d(var)bar_j, or of d(var)_j ^ dK/d(var)_j, by central
     differences with one Richardson level and step FD_REL_STEP * |zeta - z|.
-    The slots of var must be in coordinates; the other variable's slots may
-    be adapted, since the coframe at the fixed point does not move."""
+    The whole stencil (`_stencil`) is evaluated in one `KernelEvaluator.rows`
+    call.  The slots of var must be in coordinates; the other variable's
+    slots may be adapted, since the coframe at the fixed point does not
+    move."""
     try:
         prefix, slot = _DERIVATIVES[(op, var)]
     except KeyError:
@@ -178,10 +219,11 @@ def kernel_derivative(k: KernelEvaluator, op: str, var: str) -> KernelEvaluator:
     def ev(zeta, z):
         h = _fd_scale(zeta, z)
         base, other = (zeta, z) if var == "zeta" else (z, zeta)
+        vals = k.rows(_stencil(base, h), other, var)
         parts = []
         for j in range(n):
-            dx = _directional(k.eval, base, other, j, 1.0, h, var)
-            dy = _directional(k.eval, base, other, j, 1.0j, h, var).scale(1.0j)
+            dx = _richardson(*vals[8 * j:8 * j + 4], h)
+            dy = _richardson(*vals[8 * j + 4:8 * j + 8], h).scale(1.0j)
             der = (dx + dy if op == "dbar" else dx - dy).scale(0.5)
             if der.frame[side] != COORD:
                 raise KernelError(f"a derivative in {var} needs coordinate {var} slots")
@@ -192,10 +234,16 @@ def kernel_derivative(k: KernelEvaluator, op: str, var: str) -> KernelEvaluator:
 
 
 def kernel_star_zeta(k: KernelEvaluator) -> KernelEvaluator:
+    """*_zeta of a kernel, with rows of zeta where k has them."""
+
     def ev(zeta, z):
         return forms.hodge_star(k.eval(zeta, z), "zeta")
 
-    return KernelEvaluator(f"star_z[{k.id}]", k.n, ev)
+    def rows(zeta_rows, z):
+        return [forms.hodge_star(v, "zeta") for v in k.rows(zeta_rows, z)]
+
+    return KernelEvaluator(f"star_z[{k.id}]", k.n, ev,
+                           rows if k.zeta_rows is not None else None)
 
 
 def kernel_vartheta_zeta(k: KernelEvaluator) -> KernelEvaluator:
@@ -355,10 +403,10 @@ def gamma0q(model: DomainModel, q: int) -> KernelEvaluator:
     if not 0 <= q <= n:
         raise KernelError(f"q={q} out of range for n={n}")
 
-    def ev(zeta, z):
-        return _packed_form(n, q, gamma0q_packed(model, q, model.rho2(zeta, z)))
+    def rows(zeta_rows, z):
+        return gamma0q_packed(model, q, model.rho2(zeta_rows, z))
 
-    return KernelEvaluator(f"Gamma0q[q={q}]", n, ev)
+    return KernelEvaluator.from_packed_rows(f"Gamma0q[q={q}]", n, q, rows)
 
 
 # -- homotopy kernels -----------------------------------------------------------
@@ -579,14 +627,9 @@ def nq_rows(model: DomainModel, q: int):
 
 
 def nq(model: DomainModel, q: int) -> KernelEvaluator:
-    """Principal kernel of the Neumann operator, the one-row case of
-    `nq_rows`."""
-    rows = nq_rows(model, q)
-
-    def ev(zeta, z):
-        return _packed_form(model.n, q, rows(np.asarray(zeta)[None, :], z)[0])
-
-    return KernelEvaluator(f"Nq[q={q}]", model.n, ev)
+    """Principal kernel of the Neumann operator, with `nq_rows` as its rows
+    of zeta."""
+    return KernelEvaluator.from_packed_rows(f"Nq[q={q}]", model.n, q, nq_rows(model, q))
 
 
 def theta_coefficient(f: DoubleForm, L: tuple[int, ...]) -> DoubleForm:

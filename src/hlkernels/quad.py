@@ -157,17 +157,10 @@ def apply_kernel(kernel: KernelEvaluator | None, f_func, grid: Grid,
     (points, ..., ncomp) for a stack of fields.  Returns (ntargets, ...,
     ncomp) output components in the conjugate z basis.  batch_eval returns
     the packed kernel coefficient array (nodes, ncomp_in, ncomp_out) for
-    fixed z; without it the values of `kernel` are packed node by node by
-    `kernels.packed_coefficients`, QuadError where they do not pack.  The
-    kernel is evaluated once per target, and applied to every field of the
-    stack at once."""
+    fixed z; without it, `batch_kernel(kernel, q)`.  The kernel is evaluated
+    once per target, and applied to every field of the stack at once."""
     if batch_eval is None:
-        def batch_eval(nodes, z):
-            values = [kernel.eval(c, z) for c in nodes]
-            try:
-                return np.array([kernels.packed_coefficients(v, q) for v in values])
-            except KernelError as e:
-                raise QuadError(f"{kernel.id}: {e}") from None
+        batch_eval = batch_kernel(kernel, q)
     base_data = f_func.batch(grid.centers)
     out = np.zeros((len(targets),) + base_data.shape[1:], dtype=complex)
     for ti, z in enumerate(np.asarray(targets, dtype=complex)):
@@ -222,12 +215,23 @@ def batch_frames(model: DomainModel, pts: np.ndarray) -> np.ndarray:
     return model.frame(pts)
 
 
-def batch_nq(model: DomainModel, q: int):
-    """Principal Neumann kernel `kernels.nq_rows`, packed (nodes, B, A) with
-    the coefficient of dzetabar^B ^ dz^A, evaluated in blocks of nodes so its
-    temporaries have one size whatever the number of nodes."""
-    rows = kernels.nq_rows(model, q)
-    ncomp = len(anti_keys(model.n, q))
+def batch_kernel(kernel: KernelEvaluator, q: int):
+    """The kernel's packed coefficient array (nodes, C(n,q), C(n,q)) for
+    fixed z, from `KernelEvaluator.rows` in blocks of nodes so its
+    temporaries have one size whatever the number of nodes.  A kernel with
+    packed rows of degree q hands its arrays over as they are; other values
+    are packed by `kernels.packed_coefficients`, QuadError where they do not
+    pack."""
+    ncomp = len(anti_keys(kernel.n, q))
+    if kernel.packed_q == q:
+        rows = kernel.zeta_rows
+    else:
+        def rows(nodes, z):
+            values = kernel.rows(nodes, z)
+            try:
+                return [kernels.packed_coefficients(v, q) for v in values]
+            except KernelError as e:
+                raise QuadError(f"{kernel.id}: {e}") from None
 
     def ev(nodes: np.ndarray, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=complex)
@@ -237,6 +241,12 @@ def batch_nq(model: DomainModel, q: int):
         return out
 
     return ev
+
+
+def batch_nq(model: DomainModel, q: int):
+    """Principal Neumann kernel `kernels.nq_rows`, packed (nodes, B, A) with
+    the coefficient of dzetabar^B ^ dz^A: `batch_kernel` of `kernels.nq`."""
+    return batch_kernel(kernels.nq(model, q), q)
 
 
 def batch_isotropic_model(model: DomainModel):

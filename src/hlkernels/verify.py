@@ -92,18 +92,20 @@ def slope_fit(ts, values) -> tuple[float, float]:
     return float(coef[0]), float(np.sqrt(np.mean(resid ** 2)))
 
 
-def slope_or_exact(ts, values, reference, tol: float = 1e-12) -> tuple[float, bool]:
+def slope_or_exact(ts, values, reference,
+                   tol: float = 1e-12) -> tuple[float, bool, float | None]:
     """Slope of values, or (+inf, True) when values sit at roundoff relative
     to the reference magnitudes (an exact identity at working precision).
+    Returns (slope, exact, rms_residual), the residual None when exact.
 
     tol is the relative exactness floor; finite-difference comparisons use a
     looser floor matching the Richardson noise level."""
     vals = np.asarray(values, dtype=float)
     ref = np.asarray(reference, dtype=float)
     if np.all(vals <= tol * np.maximum(ref, 1e-300)):
-        return float("inf"), True
-    s, _ = slope_fit(ts, vals)
-    return s, False
+        return float("inf"), True, None
+    s, rms = slope_fit(ts, vals)
+    return s, False, rms
 
 
 @dataclass
@@ -124,15 +126,18 @@ def _rate_check(suite: str, check: str, ts, mains, diffs,
                 exact_tol: float | None = None) -> CheckResult:
     """The difference series must decay at least `rate_gap` faster than the
     main series.  With exact_tol, a difference at roundoff relative to the
-    main series passes as exact (`slope_or_exact`), and the details say so."""
-    sm, _ = slope_fit(ts, mains)
+    main series passes as exact (`slope_or_exact`), and the details say so.
+    The details keep the RMS residual of each slope fit (`main_rms`,
+    `diff_rms`; None where the difference is exact and nothing was fitted)."""
+    sm, main_rms = slope_fit(ts, mains)
     need = sm + THRESHOLDS["rate_gap"]
+    details = {"main_slope": sm, "main_rms": main_rms}
     if exact_tol is None:
-        sd, _ = slope_fit(ts, diffs)
-        return CheckResult(suite, check, sd >= need, sd, need, {"main_slope": sm})
-    sd, exact = slope_or_exact(ts, diffs, mains, tol=exact_tol)
-    return CheckResult(suite, check, exact or sd >= need, sd, need,
-                       {"main_slope": sm, "exact": exact})
+        sd, details["diff_rms"] = slope_fit(ts, diffs)
+        return CheckResult(suite, check, sd >= need, sd, need, details)
+    sd, exact, details["diff_rms"] = slope_or_exact(ts, diffs, mains, tol=exact_tol)
+    details["exact"] = exact
+    return CheckResult(suite, check, exact or sd >= need, sd, need, details)
 
 
 BASE_POINT_TRIES = 1000
@@ -167,7 +172,7 @@ def suite_phisymm(model: DomainModel, n: int, q: int, seed: int,
         phis.append(abs(model.phi(zeta, z)))
     # both built-in defining functions are quadratic, so the symmetry defect
     # cancels exactly; roundoff is absolute (unit-scale intermediates)
-    s, exact = slope_or_exact(ts, diffs, [1.0] * len(ts))
+    s, exact, _ = slope_or_exact(ts, diffs, [1.0] * len(ts))
     res = [CheckResult("phisymm", "phi-minus-phistar-slope", s >= THRESHOLDS["phisymm_slope"], s, THRESHOLDS["phisymm_slope"],
                        {"exact_zero": exact})]
     sphi, _ = slope_fit(ts, phis)
@@ -291,7 +296,7 @@ def suite_gamma_harmonic(model: DomainModel, n: int, q: int, seed: int,
                     + g00.eval(zeta - e, z).component(((), (), (), ()))
                     - 2 * center)
         resid.append(abs(lap) / (np.abs(h) ** 2) / val)
-    s, exact = slope_or_exact(hs, resid, [val] * len(hs))
+    s, exact, _ = slope_or_exact(hs, resid, [val] * len(hs))
     return [CheckResult("gamma-harmonic", "fd-laplacian-residual",
                         exact or s >= THRESHOLDS["harmonic_slope"], s, THRESHOLDS["harmonic_slope"], {"residuals": resid})]
 
@@ -494,7 +499,7 @@ def suite_adjointness(model: DomainModel, n: int, q: int, seed: int,
                       t_grid) -> list[CheckResult]:
     hs = [1.0 / k for k in (8, 10, 12, 14, 16)]
     res = [quad.adjointness_residual(model, h, seed=seed + 5) for h in hs]
-    s, exact = slope_or_exact(hs, res, [1.0] * len(hs))
+    s, exact, _ = slope_or_exact(hs, res, [1.0] * len(hs))
     return [CheckResult("adjointness", "discrete-residual-slope",
                         exact or s >= THRESHOLDS["adjointness_slope"], s,
                         THRESHOLDS["adjointness_slope"],

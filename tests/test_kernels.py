@@ -4,6 +4,7 @@ The rate-based comparisons against the printed main terms live in the verify
 suites; here we pin exact values, degrees, and the small derivative facts.
 """
 
+import dataclasses
 from math import comb, factorial
 
 import numpy as np
@@ -385,6 +386,110 @@ def test_fd_step_guard():
     const = kernels.KernelEvaluator("c", 2, lambda a, b: DoubleForm.scalar(2, 1.0))
     with pytest.raises(kernels.StepTooLarge):
         kernels.kernel_derivative(const, "dbar", "zeta").eval(ZETA, ZETA)
+
+
+# -- the batched stencil against the per-point one ---------------------------------
+
+
+def _directional(evalf, base, other, j, delta, h, var):
+    """Richardson-extrapolated central difference along one real direction,
+    one pointwise evaluation per step."""
+
+    def shifted(step):
+        pt = base.copy()
+        pt[j] += step * delta
+        return evalf(pt, other) if var == "zeta" else evalf(other, pt)
+
+    d1 = (shifted(h) - shifted(-h)).scale(1.0 / (2 * h))
+    d2 = (shifted(h / 2) - shifted(-h / 2)).scale(1.0 / h)
+    return d2.scale(4.0 / 3.0) - d1.scale(1.0 / 3.0)
+
+
+def _pointwise_derivative(evalf, n, op, var):
+    """The derivative of `kernels.kernel_derivative`, stepped point by point."""
+    _, slot = kernels._DERIVATIVES[(op, var)]
+
+    def ev(zeta, z):
+        h = kernels._fd_scale(zeta, z)
+        base, other = (zeta, z) if var == "zeta" else (z, zeta)
+        parts = []
+        for j in range(n):
+            dx = _directional(evalf, base, other, j, 1.0, h, var)
+            dy = _directional(evalf, base, other, j, 1.0j, h, var).scale(1.0j)
+            parts.append((dx + dy if op == "dbar" else dx - dy).scale(0.5))
+        return forms.differential(n, slot, parts)
+
+    return ev
+
+
+def _pointwise_vartheta(k):
+    inner = _pointwise_derivative(lambda zeta, z: forms.hodge_star(k.eval(zeta, z), "zeta"),
+                                  k.n, "del", "zeta")
+    return lambda zeta, z: forms.hodge_star(inner(zeta, z), "zeta").scale(-1.0)
+
+
+STENCIL_CASES = {
+    "dbar-Nq": (kernels.nq, lambda k: kernels.kernel_derivative(k, "dbar", "zeta"),
+                lambda k: _pointwise_derivative(k.eval, k.n, "dbar", "zeta")),
+    "dbar-Gamma0q": (kernels.gamma0q, lambda k: kernels.kernel_derivative(k, "dbar", "zeta"),
+                     lambda k: _pointwise_derivative(k.eval, k.n, "dbar", "zeta")),
+    "vartheta-Nq": (kernels.nq, kernels.kernel_vartheta_zeta, _pointwise_vartheta),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STENCIL_CASES))
+@pytest.mark.parametrize("name,n,q", [(name, n, q) for name in ("ball", "pinched")
+                                      for n, q in ((3, 1), (4, 1), (4, 2))])
+def test_batched_stencil_matches_pointwise(case, name, n, q):
+    build, batched, pointwise = STENCIL_CASES[case]
+    model = domain.make_domain(name, n)
+    k = build(model, q)
+    assert k.zeta_rows is not None
+    got, want = batched(k), pointwise(k)
+    path = verify.PathSpec(model, verify._base_point(model, 0), "parabolic",
+                           (2.0 ** -3, 2.0 ** -6, 2.0 ** -10), 0)
+    for _, zeta, z in path.pairs():
+        w = want(zeta, z)
+        assert (got.eval(zeta, z) - w).norm() <= 1e-13 * w.norm()
+
+
+def _counted(k, log):
+    """k with its native rows recording the number of rows of each call."""
+    def rows(zeta_rows, z):
+        log.append(len(zeta_rows))
+        return k.zeta_rows(zeta_rows, z)
+
+    def no_eval(zeta, z):
+        raise AssertionError("pointwise eval called")
+
+    return dataclasses.replace(k, eval=no_eval, zeta_rows=rows)
+
+
+@pytest.mark.parametrize("build", [kernels.nq, kernels.gamma0q], ids=["Nq", "Gamma0q"])
+@pytest.mark.parametrize("derivative", [
+    lambda k: kernels.kernel_derivative(k, "dbar", "zeta"), kernels.kernel_vartheta_zeta,
+], ids=["dbar", "vartheta"])
+def test_one_row_call_per_derivative_evaluation(build, derivative):
+    zeta, z = _frozen_pair(BALL3)
+    log = []
+    d = derivative(_counted(build(BALL3, 1), log))
+    d.eval(zeta, z)
+    d.eval(z, zeta)
+    assert log == [8 * 3, 8 * 3]
+
+
+def test_kernels_without_rows_evaluate_each_stencil_point():
+    calls = []
+
+    def ev(zeta, z):
+        calls.append(zeta)
+        return _poly(zeta, z)
+
+    k = kernels.KernelEvaluator("poly", 2, ev)
+    assert k.zeta_rows is None and kernels.kernel_star_zeta(k).zeta_rows is None
+    zeta, z = c(0.4 + 0.3j, -0.2 + 0.5j), c(0.1 - 0.2j, 0.3 + 0.1j)
+    kernels.kernel_derivative(k, "dbar", "zeta").eval(zeta, z)
+    assert len(calls) == 8 * 2
 
 
 # -- adjoint wrapper ---------------------------------------------------------------

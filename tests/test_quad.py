@@ -127,10 +127,7 @@ def test_gamma00_on_bump_stable_under_refinement():
     vals = []
     for h in (0.2, 0.1):
         g = make_grid(BALL2, h, eps=0.4)
-        gam = kernels.gamma0q(BALL2, 0)
-        batch = lambda nodes, zz: np.array(
-            [[[gam.eval(cc, zz).component(((), (), (), ())) ]] for cc in nodes])
-        out = apply_kernel(None, f, g, z, 0, batch_eval=batch)
+        out = apply_kernel(kernels.gamma0q(BALL2, 0), f, g, z, 0)
         vals.append(abs(out[0, 0]))
     assert abs(vals[1] - vals[0]) <= 0.10 * max(vals)
 
@@ -240,6 +237,17 @@ def test_pair_operator_is_the_sum_of_pointwise_pairings():
     got = quad.pair_operator(k, f_func, g, z, q=1)
     assert want.norm() > 0
     assert _max_coeff_diff(got, want) <= 1e-12 * want.norm()
+
+
+def test_pair_operator_of_nq_is_the_batch_nq_path():
+    # the pointwise kernel's packed rows go straight into the contraction
+    g = make_grid(BALL3, 0.45, eps=0.2)
+    f_func = quad.random_test_field(BALL3, 1, seed=2)
+    z = np.array([0.1 - 0.05j, 0.2j, -0.1])
+    got = quad.pair_operator(kernels.nq(BALL3, 1), f_func, g, z, q=1)
+    want = apply_kernel(None, f_func, g, z[None, :], 1, batch_eval=batch_nq(BALL3, 1))[0]
+    assert np.any(want != 0)
+    assert [got.component(((), (), (), k)) for k in anti_keys(3, 1)] == list(want)
 
 
 @pytest.mark.parametrize("kernel, q", [

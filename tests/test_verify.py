@@ -104,6 +104,21 @@ def test_dgh_frozen_slopes():
         assert c["slope_measured"] == pytest.approx(slope, rel=1e-12, abs=0)
 
 
+def test_rate_checks_keep_their_fit_residuals():
+    rep = run_suite("nkern", "ball", 3, 1, seed=0)
+    rates = [c for c in rep["checks"] if "main_slope" in c["details"]]
+    assert [c["check"] for c in rates] == [
+        "dbar-N-vs-T-rate", "vartheta-N-vs-Tprev-adj-rate", "N-symmetry-rate"]
+    for c in rates:
+        d = c["details"]
+        assert np.isfinite(d["main_rms"]) and d["main_rms"] >= 0, c["check"]
+        if d.get("exact"):
+            assert d["diff_rms"] is None
+        else:
+            assert np.isfinite(d["diff_rms"]) and d["diff_rms"] >= 0, c["check"]
+    assert all(type(c["details"]["diff_rms"]) is float for c in rates[:2])
+
+
 def test_reports_embed_thresholds():
     rep = run_suite("morse", "pinched", 2)
     assert rep["thresholds"]["rate_gap"] == 0.8
