@@ -58,6 +58,8 @@ def _load_config(args) -> dict:
     _check_config_types(cfg)
     if cfg["n"] < 2:
         raise ValueError("n must be >= 2")
+    if not 0 < cfg["delta"] < np.inf:
+        raise ValueError(f"delta must be positive and finite, got {cfg['delta']}")
     return cfg
 
 
@@ -160,11 +162,13 @@ def cmd_derive(args) -> int:
 def cmd_ratio(args) -> int:
     cfg = _load_config(args)
     resolutions = [int(x) for x in args.resolutions.split(",")]
-    # `not v >= 1` also rejects NaN
+    # `not 1 <= v < inf` also rejects NaN
     bad = [f"{name}={v}" for name, v in (("p", args.p), ("s", args.s), ("trials", args.trials))
-           if not v >= 1] + [f"resolution={r}" for r in resolutions if r < 1]
+           if not 1 <= v < np.inf] + [f"resolution={r}" for r in resolutions if r < 1]
+    bad += [f"{name}={v}" for name, v in (("a", args.a), ("b", args.b)) if not np.isfinite(v)]
     if bad:
-        raise ValueError(f"ratio needs p, s, trials and every resolution >= 1; got {', '.join(bad)}")
+        raise ValueError("ratio needs p, s, trials and every resolution >= 1, and p, s, a, b "
+                         f"finite; got {', '.join(bad)}")
     model = make_domain(cfg["domain"], cfg["n"], delta=cfg["delta"])
     from fractions import Fraction
     threshold = zalg.e1_threshold if args.kernel == "E" else zalg.nq_threshold
@@ -182,7 +186,7 @@ def cmd_ratio(args) -> int:
         for r in rep["rows"]:
             w.writerow([r.resolution, r.p, r.s, r.a, r.b, r.trial, r.ratio])
     meta_path = out / f"ratio_{args.kernel}_meta.json"
-    meta_path.write_text(json.dumps(rep["meta"], indent=2, default=str))
+    meta_path.write_text(json.dumps(rep["meta"], indent=2))
     print(json.dumps(rep["meta"]["max_ratio_by_resolution"], indent=2))
     print(f"wrote {csv_path}, {meta_path}")
     return EXIT_PASS

@@ -260,21 +260,15 @@ def swap_variables(f: DoubleForm) -> DoubleForm:
 
 
 def adjoint_value(kernel_at_swapped: DoubleForm) -> DoubleForm:
-    """Adjoint kernel value from the kernel evaluated at swapped arguments.
-
-    The slot exchange carries the extra sign (-1)^(deg_zeta * deg_z) that makes
-    the result the kernel of the adjoint operator under the pairing below;
-    certified against the pairing on every bidegree combination.
+    """Adjoint kernel value from the kernel evaluated at swapped arguments:
+    `conj_form`, then the unsigned exchange of the zeta and z slots.  That is
+    (-1)^(deg_zeta * deg_z) times `swap_variables` of the conjugate, the sign
+    that makes the result the kernel of the adjoint operator under the pairing
+    below; certified against the pairing on every bidegree combination.
     """
-    out: dict[Key, complex] = {}
-    for (a, b, c, d), v in kernel_at_swapped.coeffs.items():
-        # slot exchange sign cancels against the extra adjoint sign, leaving
-        # only the conjugation reordering within each variable
-        sign = (-1) ** (len(a) * len(b) + len(c) * len(d))
-        key = (d, c, b, a)
-        out[key] = out.get(key, 0.0) + sign * np.conj(v)
-    f = kernel_at_swapped
-    return DoubleForm(f.n, out, (f.frame[1], f.frame[0]))
+    f = conj_form(kernel_at_swapped)
+    return DoubleForm(f.n, {(c, d, a, b): v for (a, b, c, d), v in f.coeffs.items()},
+                      (f.frame[1], f.frame[0]))
 
 
 def volume_coeff(n: int) -> complex:
@@ -386,18 +380,9 @@ def change_frame_z(f: DoubleForm, U_z: np.ndarray, to: str) -> DoubleForm:
     return _change_frame(f, 1, U_z, to)
 
 
-def to_coord(f: DoubleForm, U_zeta: np.ndarray | None = None,
-             U_z: np.ndarray | None = None) -> DoubleForm:
-    g = f
-    if g.frame[0] != COORD:
-        if U_zeta is None:
-            raise FrameMismatch("zeta frame matrix required")
-        g = change_frame_zeta(g, U_zeta, COORD)
-    if g.frame[1] != COORD:
-        if U_z is None:
-            raise FrameMismatch("z frame matrix required")
-        g = change_frame_z(g, U_z, COORD)
-    return g
+def to_coord(f: DoubleForm, U_zeta: np.ndarray, U_z: np.ndarray) -> DoubleForm:
+    """Both variables' slots in coordinates; U_zeta and U_z as in `_change_frame`."""
+    return change_frame_z(change_frame_zeta(f, U_zeta, COORD), U_z, COORD)
 
 
 def hodge_star(f: DoubleForm, variable: str) -> DoubleForm:

@@ -324,13 +324,12 @@ def lq(model: DomainModel, q: int) -> KernelEvaluator:
 
 def kq(model: DomainModel, q: int) -> KernelEvaluator:
     """Cauchy-Fantappie type kernel built from alpha alone: K_0 is
-    const (xi / Phi)^(n-1) alpha ^ Omega(H)^(n-1).  It carries
+    (2 pi i)^-n (xi / Phi)^(n-1) alpha ^ Omega(H)^(n-1).  It carries
     (dbar_z alpha)^q = 0, so it vanishes for q >= 1."""
     n = model.n
     if not 0 <= q <= n - 1:
         raise KernelError(f"q={q} out of range for n={n}")
-    const = ((-1.0) ** (q * (q - 1) // 2)) * comb(n - 1, q) * (1.0 / (2j * pi)) ** n
-    w = wedge_power(_jet_dbar(n, "az", model.levi_const), n - 1).scale(const)
+    w = wedge_power(_jet_dbar(n, "az", model.levi_const), n - 1).scale((1.0 / (2j * pi)) ** n)
 
     def ev(zeta, z):
         a, sa = alpha_jet(model, zeta, z)
@@ -462,6 +461,12 @@ def _put_adapted(coeffs: dict, value, labels, L) -> None:
         coeffs[((), az, L, ())] = sign * value
 
 
+def _printed_mu_weights(n: int, q: int) -> list[tuple[int, int]]:
+    """(mu, C(n-2-mu, q)) for 0 <= mu <= n-q-2: the one copy of the printed mu-range
+    and mu-weights, which `lq_main`, `hq_main` and `neumann_tangential_scalar` sum over."""
+    return [(mu, comb(n - 2 - mu, q)) for mu in range(n - q - 1)]
+
+
 def lq_main(model: DomainModel, q: int) -> KernelEvaluator:
     """Printed main term of L_q in the adapted frames."""
     n = model.n
@@ -473,8 +478,8 @@ def lq_main(model: DomainModel, q: int) -> KernelEvaluator:
         pair = model.geo_pair(zeta, z)
         g, phib, P = pair.gamma, np.conj(pair.phi), pair.big_p
         lb = lbar_rho2(model, zeta, z, np.linalg.inv(Uz))
-        coef = cnq * g * sum(comb(n - 2 - mu, q) / (phib ** (mu + 1) * P ** (n - mu - 1))
-                             for mu in range(0, n - q - 1))
+        coef = cnq * g * sum(w / (phib ** (mu + 1) * P ** (n - mu - 1))
+                             for mu, w in _printed_mu_weights(n, q))
         coeffs = {}
         for j in range(1, n):
             for L in anti_keys(n - 1, q):
@@ -523,8 +528,8 @@ def hq_main(model: DomainModel, q: int) -> KernelEvaluator:
         phib = np.conj(phi)
         lb = lbar_rho2(model, zeta, z, np.linalg.inv(Uz))
         const = conormal_weight(n, P) * (n - 1) / P
-        s = sum(comb(n - mu - 2, q) * g ** 2 * (mu + 1) / (phib ** (mu + 2) * P ** (n - mu - 1))
-                for mu in range(0, n - q - 1))
+        s = sum(w * g ** 2 * (mu + 1) / (phib ** (mu + 2) * P ** (n - mu - 1))
+                for mu, w in _printed_mu_weights(n, q))
         s += 2 * comb(n - 2, q) * (n - 1) * (g / gs) * phi / (phib * P ** n)
         cb = -2 * phi / g * const
         coeffs = {}
@@ -569,10 +574,8 @@ def neumann_tangential_scalar(n: int, q: int, g, gs, phi, P):
     phi = Phi(zeta, z) and P = P(zeta, z) are scalars or arrays of one shape;
     the weight is taken elementwise."""
     phib = np.conj(phi)
-    s = 0.0 + 0.0j
-    for mu in range(0, n - q - 1):
-        s += (g ** 2 * comb(n - mu - 2, q) * (mu + 1) / (n - mu - 2)
-              / (phib ** (mu + 2) * P ** (n - mu - 2)))
+    s = sum(g ** 2 * w * (mu + 1) / (n - mu - 2) / (phib ** (mu + 2) * P ** (n - mu - 2))
+            for mu, w in _printed_mu_weights(n, q))
     s += comb(n - 2, q) * (g / gs) * 2.0 * phi / (phib * P ** (n - 1))
     return s
 

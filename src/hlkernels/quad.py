@@ -59,10 +59,10 @@ TARGET_DRAWS = 10000  # candidate points drawn for the ratio-table targets
 
 def make_grid(model: DomainModel, h: float, eps: float | None = None) -> Grid:
     """Deterministic lattice of cell midpoints inside D_eps (eps default 2h)."""
-    if h <= 0:
-        raise QuadError("h must be positive")
     if eps is None:
         eps = 2.0 * h
+    if not (0 < h < np.inf and eps >= 0):    # also rejects NaN
+        raise QuadError(f"make_grid needs finite h > 0 and eps >= 0; got h={h}, eps={eps}")
     n = model.n
     m = int(np.ceil(GRID_BOX / h))
     axis = (np.arange(-m, m) + 0.5) * h

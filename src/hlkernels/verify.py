@@ -140,6 +140,19 @@ def _rate_check(suite: str, check: str, ts, mains, diffs,
     return CheckResult(suite, check, exact or sd >= need, sd, need, details)
 
 
+def _rate_series(rows, weights=None):
+    """The series (ts, |target|, |definition - target|) of a rate check from
+    (t, definition, target) rows of kernel values; weights, one per row,
+    scale both norms."""
+    ts, mains, diffs = [], [], []
+    for i, (t, a, b) in enumerate(rows):
+        w = 1.0 if weights is None else weights[i]
+        ts.append(t)
+        mains.append(w * b.norm())
+        diffs.append(w * (a - b).norm())
+    return ts, mains, diffs
+
+
 BASE_POINT_TRIES = 1000
 
 
@@ -306,14 +319,9 @@ def suite_lemmalq(model: DomainModel, n: int, q: int, seed: int,
     path = PathSpec(model, _base_point(model, seed), "parabolic", tuple(t_grid), seed)
     kdef = kernels.lq(model, q)
     kmain = kernels.lq_main(model, q)
-    ts, mains, diffs = [], [], []
-    for t, zeta, z in path.pairs():
-        a = kdef.eval(zeta, z)
-        b = kmain.eval(zeta, z)
-        ts.append(t)
-        mains.append(b.norm())
-        diffs.append((a - b).norm())
-    return [_rate_check("lemmalq", "definition-vs-main-rate", ts, mains, diffs)]
+    series = _rate_series((t, kdef.eval(zeta, z), kmain.eval(zeta, z))
+                          for t, zeta, z in path.pairs())
+    return [_rate_check("lemmalq", "definition-vs-main-rate", *series)]
 
 
 def suite_dgh(model: DomainModel, n: int, q: int, seed: int,
@@ -330,15 +338,11 @@ def suite_dgh(model: DomainModel, n: int, q: int, seed: int,
     hk = kernels.hq_main(model, q)
     values = [(t, dg.eval(zeta, z), hk.eval(zeta, z)) for t, zeta, z in pairs]
     for L in forms.anti_keys(n, q):
-        ts, mains, diffs = [], [], []
-        for t, dgv, hv in values:
-            b = kernels.theta_coefficient(hv, L)
-            ts.append(t)
-            mains.append(b.norm())
-            diffs.append((kernels.theta_coefficient(dgv, L) - b).norm())
+        series = _rate_series((t, kernels.theta_coefficient(dgv, L),
+                               kernels.theta_coefficient(hv, L)) for t, dgv, hv in values)
         case = "nQ" if n in L else "ab"
         out.append(_rate_check("dgh", f"dbar-G-vs-H-{case}-L={''.join(map(str, L))}",
-                               ts, mains, diffs, exact_tol=1e-9))
+                               *series, exact_tol=1e-9))
     # case c: numeric homotopy components on omega-bar^{nJ}, J != L, from
     # the Theta^L coefficient of vartheta L_q - del_z L_{q-1}
     L = tuple(j for j in range(1, q + 1))     # n not in L
@@ -374,24 +378,19 @@ def suite_nkern(model: DomainModel, n: int, q: int, seed: int,
     vt = kernels.kernel_vartheta_zeta(nk)
     tprev = kernels.adjoint_kernel(kernels.tq(model, q - 1))
     nadj = kernels.adjoint_kernel(nk)
-    ts = []
-    main1, diff1, main2, diff2, main3, diff3 = [], [], [], [], [], []
+    gg = [model.gamma(zeta) * model.gamma(z) for _, zeta, z in pairs]
+    dbar_n = _rate_series(((t, dn.eval(zeta, z), tk.eval(zeta, z)) for t, zeta, z in pairs), gg)
+    vartheta_n = _rate_series(((t, vt.eval(zeta, z), tprev.eval(zeta, z))
+                               for t, zeta, z in pairs), gg)
+    # the symmetry line's main series is N itself, the first operand
+    ts, main3, diff3 = [], [], []
     for t, zeta, z in pairs:
-        gg = model.gamma(zeta) * model.gamma(z)
-        a = dn.eval(zeta, z)
-        b = tk.eval(zeta, z)
-        ts.append(t)
-        main1.append(gg * b.norm())
-        diff1.append(gg * (a - b).norm())
-        av = vt.eval(zeta, z)
-        bv = tprev.eval(zeta, z)
-        main2.append(gg * bv.norm())
-        diff2.append(gg * (av - bv).norm())
         nv = nk.eval(zeta, z)
+        ts.append(t)
         main3.append(nv.norm())
         diff3.append((nv - nadj.eval(zeta, z)).norm())
-    out = [_rate_check("nkern", "dbar-N-vs-T-rate", ts, main1, diff1),
-           _rate_check("nkern", "vartheta-N-vs-Tprev-adj-rate", ts, main2, diff2),
+    out = [_rate_check("nkern", "dbar-N-vs-T-rate", *dbar_n),
+           _rate_check("nkern", "vartheta-N-vs-Tprev-adj-rate", *vartheta_n),
            _rate_check("nkern", "N-symmetry-rate", ts, main3, diff3, exact_tol=1e-9)]
     # boundary condition: normal components decay along the inward normal
     zeta0 = model.project_boundary(base)

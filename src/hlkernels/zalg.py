@@ -32,8 +32,6 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-INNER_SYMBOLS = ("id", "dbar", "dbarstar", "box",
-                 "H", "N", "dbarN", "dbarstarN", "boxN")
 _SUBN = {"id": "N", "dbar": "dbarN", "dbarstar": "dbarstarN", "box": "boxN"}
 _BOUNDED = {"H", "N", "dbarN", "dbarstarN"}
 
@@ -109,10 +107,6 @@ class ZExpr:
         if kernel not in KERNEL_TYPE:
             raise ZalgError(f"unknown kernel {kernel}")
         return ZExpr.single(("PAIR", kernel, gstar), out_g, arg_g, inner)
-
-    @staticmethod
-    def weighted(arg_g: int, inner: str = "id") -> "ZExpr":
-        return ZExpr.single(("ID",), 0, arg_g, inner)
 
     def __add__(self, other: "ZExpr") -> "ZExpr":
         return ZExpr(self.terms + other.terms)

@@ -199,13 +199,30 @@ def test_ratio_nq_out_of_range(tmp_path, capsys, n, q):
 @pytest.mark.parametrize("args", [
     ["--s", "0"], ["--s", "-2"], ["--resolutions", "0"], ["--resolutions", "4,-1"],
     ["--kernel", "Nq", "--p", "0"], ["--kernel", "E", "--n", "2", "--q", "0", "--p", "0"],
-    ["--p", "nan"], ["--trials", "0"]])
+    ["--p", "nan"], ["--trials", "0"], ["--kernel", "E", "--n", "2", "--q", "0", "--s", "inf"],
+    ["--p", "inf"], ["--a", "nan"], ["--b", "inf"], ["--a=-inf"]])
 def test_ratio_bad_numbers_are_usage_errors(tmp_path, capsys, args):
     if "--kernel" not in args:
         args = ["--kernel", "Nq"] + args
     code = run(["ratio", *args, "--out", str(tmp_path / "o")])
     assert "ratio needs p, s, trials and every resolution >= 1" in (
         _one_line_usage_error(code, capsys))
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("eps", ["-0.1", "nan"])
+def test_ratio_bad_eps_is_a_usage_error(tmp_path, capsys, eps):
+    code = run(["ratio", "--kernel", "E", "--n", "2", "--q", "0", "--resolutions", "4",
+                "--trials", "1", "--eps", eps, "--out", str(tmp_path / "o")])
+    assert "eps >= 0" in _one_line_usage_error(code, capsys)
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("delta", ["0", "-1", "nan", "inf"])
+def test_suite_bad_delta_is_a_usage_error(tmp_path, capsys, delta):
+    code = run(["suite", "--domain", "pinched", "--n", "3", "--q", "0", "--suites", "morse",
+                "--delta", delta, "--out", str(tmp_path / "o")])
+    assert "delta must be positive and finite" in _one_line_usage_error(code, capsys)
     assert not (tmp_path / "o").exists()
 
 

@@ -263,6 +263,25 @@ def test_adjoint_involution_and_gamma():
     assert adjoint_value(Kc).component(((), (), (), ())) == pytest.approx(np.conj(c))
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_adjoint_is_signed_swap_of_conjugate(n):
+    """adjoint_value(f) = (-1)^(deg_zeta deg_z) swap_variables(conj_form(f)),
+    key by key, on random homogeneous forms of every bidegree."""
+    rng = np.random.default_rng(11 + n)
+    for degs in itertools.product(range(n + 1), repeat=4):
+        coeffs = {}
+        for _ in range(4):
+            key = tuple(tuple(sorted(rng.choice(np.arange(1, n + 1), d, replace=False).tolist()))
+                        for d in degs)
+            coeffs[key] = complex(rng.standard_normal(), rng.standard_normal())
+        f = DoubleForm(n, coeffs, (forms.COORD, forms.ADAPTED))
+        sign = (-1) ** ((degs[0] + degs[1]) * (degs[2] + degs[3]))
+        want = swap_variables(conj_form(f)).scale(sign)
+        got = adjoint_value(f)
+        assert got.frame == want.frame == (forms.ADAPTED, forms.COORD)
+        assert got.coeffs == want.coeffs
+
+
 @pytest.mark.parametrize("combo", list(itertools.product(range(3), repeat=4)))
 def test_adjoint_matches_pairing_transpose(combo):
     """<Kf, g> = <f, K*g> for every bidegree combination at n=2."""

@@ -47,7 +47,16 @@ def test_grid_rejects_bad_h():
     with pytest.raises(QuadError):
         make_grid(BALL2, -0.1)
     with pytest.raises(QuadError):
+        make_grid(BALL2, float("inf"))
+    with pytest.raises(QuadError):
         make_grid(BALL2, 0.05, eps=0.999)
+
+
+def test_grid_rejects_negative_or_nan_eps():
+    # a negative eps would keep cells outside the domain, where r >= 0
+    for eps in (-0.1, float("nan")):
+        with pytest.raises(QuadError, match="eps >= 0"):
+            make_grid(BALL2, 0.17, eps=eps)
 
 
 def test_constant_field_l2_matches_volume():
