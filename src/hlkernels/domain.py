@@ -239,15 +239,13 @@ class DomainModel:
         """Extended squared distance rho^2 + 2 (r/gamma)(r*/gamma*)."""
         return self.geo_pair(zeta, z).big_p
 
-    def xi_patch(self, zeta: np.ndarray) -> float:
-        """C^2 cutoff in |r|: 1 for |r| <= delta, 0 for |r| >= 1.5 delta."""
-        s = abs(self.r(zeta))
-        if s <= self.delta:
-            return 1.0
-        if s >= 1.5 * self.delta:
-            return 0.0
+    def xi_patch(self, zeta: np.ndarray):
+        """C^2 cutoff in |r|: 1 for |r| <= delta, 0 for |r| >= 1.5 delta; a
+        float at one point (n,), an array per row of (P, n)."""
+        s = np.abs(self.r(zeta))
         t = (s - self.delta) / (0.5 * self.delta)
-        return 1.0 - (10 * t ** 3 - 15 * t ** 4 + 6 * t ** 5)
+        band = 1.0 - (10 * t ** 3 - 15 * t ** 4 + 6 * t ** 5)
+        return np.where(s <= self.delta, 1.0, np.where(s >= 1.5 * self.delta, 0.0, band))[()]
 
     def geo_pair(self, zeta: np.ndarray, z: np.ndarray) -> "GeoPair":
         """Every pair scalar, from one gradient and one r per point.

@@ -13,7 +13,9 @@ Richardson level, so the error orders are measurable and controlled per path.
 A derivative evaluates its whole stencil, 2n real directions times the four
 steps +-h, +-h/2, in one call of `KernelEvaluator.rows`.  `nq` (through
 `nq_rows`), `gamma0q` (through `gamma0q_packed`) and `kernel_star_zeta` of
-either have native rows of zeta, evaluated as arrays; every other kernel
+either have native rows of zeta; `cq` and `lq` have native rows of zeta and
+of z, and `lq` its own *_zeta on rows, each one contraction of the jets'
+scalars with constant arrays.  Every other kernel, the printed G among them,
 loops its pointwise `eval` over the rows, in that one method only.
 """
 
@@ -48,9 +50,12 @@ class KernelEvaluator:
     """Named pure kernel (zeta, z) -> DoubleForm, coordinate frame; the z
     slots of `gq` and `hq_main` are adapted.
 
-    `zeta_rows`, where a kernel has it, evaluates the rows of zeta (P, n) at
-    one z in a single call: a list of P values or, when `packed_q` is set,
-    the packed array (P, C(n,q), C(n,q)) of `_packed_form` with q = packed_q.
+    The row entry points, where a kernel has them, are called as (zeta, z)
+    with one argument rows (P, n) and the other one point (n,): `zeta_rows`
+    takes rows of zeta, `z_rows` rows of z, and `star_zeta_rows` gives
+    *_zeta of the values at rows of zeta.  Each returns a list of P values
+    or, when `packed_q` is set, the packed array (P, C(n,q), C(n,q)) of
+    `_packed_form` with q = packed_q.
     """
 
     id: str
@@ -58,26 +63,34 @@ class KernelEvaluator:
     eval: Callable[[np.ndarray, np.ndarray], DoubleForm]
     zeta_rows: Callable[[np.ndarray, np.ndarray], list | np.ndarray] | None = None
     packed_q: int | None = None
+    z_rows: Callable[[np.ndarray, np.ndarray], list] | None = None
+    star_zeta_rows: Callable[[np.ndarray, np.ndarray], list] | None = None
 
     @classmethod
-    def from_packed_rows(cls, kid: str, n: int, q: int, rows) -> "KernelEvaluator":
-        """The kernel whose values at rows of zeta are the packed arrays
-        rows(zeta_rows, z); its pointwise `eval` is the one-row case."""
+    def from_rows(cls, kid: str, n: int, rows, packed_q: int | None = None,
+                  z_rows=None, star_zeta_rows=None) -> "KernelEvaluator":
+        """The kernel with these row entry points, `zeta_rows` = rows; its
+        pointwise `eval` is the one-row case of rows."""
 
         def ev(zeta, z):
-            return _packed_form(n, q, rows(np.asarray(zeta)[None, :], z)[0])
+            val = rows(np.asarray(zeta)[None, :], z)[0]
+            return val if packed_q is None else _packed_form(n, packed_q, val)
 
-        return cls(kid, n, ev, rows, q)
+        return cls(kid, n, ev, rows, packed_q, z_rows, star_zeta_rows)
 
     def rows(self, pts: np.ndarray, other: np.ndarray, var: str = "zeta") -> list[DoubleForm]:
         """The values at (pts[i], other), or at (other, pts[i]) for var = "z":
-        one call of `zeta_rows` where the kernel has it, else `eval` per row."""
-        if var != "zeta":
-            return [self.eval(other, p) for p in pts]
-        if self.zeta_rows is None:
-            return [self.eval(p, other) for p in pts]
-        vals = self.zeta_rows(pts, other)
-        if self.packed_q is None:
+        one call of `zeta_rows` or `z_rows` where the kernel has it, else
+        `eval` per row."""
+        if var == "zeta":
+            native = self.zeta_rows
+            vals = (native(pts, other) if native is not None
+                    else [self.eval(p, other) for p in pts])
+        else:
+            native = self.z_rows
+            vals = (native(other, pts) if native is not None
+                    else [self.eval(other, p) for p in pts])
+        if native is None or self.packed_q is None:
             return vals
         return [_packed_form(self.n, self.packed_q, k) for k in vals]
 
@@ -101,8 +114,11 @@ def adjoint_kernel(k: KernelEvaluator) -> KernelEvaluator:
 # s Omega(M) for a constant M, modulo the form itself.
 
 
-def alpha_jet(model: DomainModel, zeta, z) -> tuple[np.ndarray, complex]:
-    """alpha = xi dr / Phi as (a, xi / Phi); (0, 0) where xi = 0.
+def alpha_jet(model: DomainModel, zeta, z) -> tuple[np.ndarray, complex | np.ndarray]:
+    """alpha = xi dr / Phi as (a, xi / Phi); (0, 0) where xi = 0.  zeta and z
+    are one point (n,) each, or either of them rows (P, n); then a is (P, n)
+    and the scalar (P,).  Phi and the domain checks are taken only where
+    xi != 0.
 
     With d = zeta - z, d a_j / dzetabar_k is (xi / Phi) H[j, k] plus
     grad_j (d xi / dzetabar_k) / Phi - a_j (dPhi / dzetabar_k) / Phi; the last
@@ -110,25 +126,32 @@ def alpha_jet(model: DomainModel, zeta, z) -> tuple[np.ndarray, complex]:
     alpha.  Phi depends on z only through d, holomorphically, so
     dbar_z alpha = 0.
     """
+    zeta, z = np.broadcast_arrays(np.asarray(zeta, dtype=complex), np.asarray(z, dtype=complex))
+    shape = zeta.shape
+    zeta, z = zeta.reshape(-1, model.n), z.reshape(-1, model.n)
     xi = model.xi_patch(zeta)
-    if xi == 0.0:
-        return np.zeros(model.n, dtype=complex), 0.0
-    phi = model.phi(zeta, z)
-    if abs(phi) < 1e-15:
-        raise PoleOnDiagonal(f"Phi = 0 at {zeta}, {z}")
-    s = xi / phi
-    return s * model.grad(zeta), s
+    a = np.zeros(zeta.shape, dtype=complex)
+    s = np.zeros(len(zeta), dtype=complex)
+    live = xi != 0.0
+    if live.any():
+        phi = model.phi(zeta[live], z[live])
+        if (np.abs(phi) < 1e-15).any():
+            raise PoleOnDiagonal(f"Phi = 0 at {zeta[live]}, {z[live]}")
+        s[live] = xi[live] / phi
+        a[live] = s[live, None] * model.grad(zeta[live])
+    return a.reshape(shape), s.reshape(shape[:-1])[()]
 
 
-def beta_jet(model: DomainModel, zeta, z) -> tuple[np.ndarray, float]:
-    """beta = d_zeta rho^2 / rho^2 as (b, 2 / rho^2).  d b_j / dzetabar_k is
+def beta_jet(model: DomainModel, zeta, z) -> tuple[np.ndarray, float | np.ndarray]:
+    """beta = d_zeta rho^2 / rho^2 as (b, 2 / rho^2), at one point pair or
+    per row as `alpha_jet`.  d b_j / dzetabar_k is
     (2 / rho^2) H[k, j] - b_j (d rho^2 / dzetabar_k) / rho^2, and rho^2
     depends on zeta - z, so modulo beta dbar_zeta beta = (2 / rho^2)
     Omega(H^T) and dbar_z beta = -(2 / rho^2) Omega_z(H^T)."""
     r2 = model.rho2(zeta, z)
-    if r2 < 1e-30:
+    if np.any(r2 < 1e-30):
         raise PoleOnDiagonal("beta pole: zeta = z")
-    return model.d_zeta_rho2(zeta, z) / r2, 2.0 / r2
+    return model.d_zeta_rho2(zeta, z) / r2[..., None], 2.0 / r2
 
 
 def _one_form(n: int, c: np.ndarray) -> DoubleForm:
@@ -234,7 +257,11 @@ def kernel_derivative(k: KernelEvaluator, op: str, var: str) -> KernelEvaluator:
 
 
 def kernel_star_zeta(k: KernelEvaluator) -> KernelEvaluator:
-    """*_zeta of a kernel, with rows of zeta where k has them."""
+    """*_zeta of a kernel, with rows of zeta where k has them: k's own
+    `star_zeta_rows`, else the star of each of k's rows."""
+    kid = f"star_z[{k.id}]"
+    if k.star_zeta_rows is not None:
+        return KernelEvaluator.from_rows(kid, k.n, k.star_zeta_rows)
 
     def ev(zeta, z):
         return forms.hodge_star(k.eval(zeta, z), "zeta")
@@ -242,8 +269,7 @@ def kernel_star_zeta(k: KernelEvaluator) -> KernelEvaluator:
     def rows(zeta_rows, z):
         return [forms.hodge_star(v, "zeta") for v in k.rows(zeta_rows, z)]
 
-    return KernelEvaluator(f"star_z[{k.id}]", k.n, ev,
-                           rows if k.zeta_rows is not None else None)
+    return KernelEvaluator(kid, k.n, ev, rows if k.zeta_rows is not None else None)
 
 
 def kernel_vartheta_zeta(k: KernelEvaluator) -> KernelEvaluator:
@@ -278,16 +304,10 @@ def coefficient_c(n: int, q: int) -> float:
     return 2.0 ** (n - 2) / (2 * pi) ** n * factorial(q) * factorial(n - q - 2)
 
 
-def cq(model: DomainModel, q: int) -> KernelEvaluator:
-    """The double sum over a_{q mu nu} of wedge products of alpha, beta and
-    their dbar factors.  dbar_z alpha = 0, so only the nu = 0 terms are
-    nonzero, and inside alpha ^ beta the jets' scalars times Omega forms
-    stand for the dbar factors:
-
-        C_q = alpha ^ beta ^ sum_mu a_{q mu 0} (xi / Phi)^mu (2 / rho^2)^(n-2-mu) W_mu,
-        W_mu = Omega(H)^mu ^ Omega(H^T)^(n-q-2-mu) ^ Omega_z(-H^T)^q,
-
-    with the constant forms W_mu built once."""
+def _cq_basis(model: DomainModel, q: int) -> list[list[DoubleForm]]:
+    """The constant forms of C_q: E[c][mu] = dzeta_j ^ dzeta_k ^ W_mu for the
+    pairs c = (j, k), j < k, in row-major order as `np.triu_indices` lists
+    them (see `cq`)."""
     n = model.n
     if not 0 <= q <= n - 2:
         raise KernelError(f"q={q} out of range for n={n}")
@@ -296,30 +316,66 @@ def cq(model: DomainModel, q: int) -> KernelEvaluator:
     tail = wedge_power(_jet_dbar(n, "aw", -h.T), q)
     ws = [wedge(wedge(wedge_power(da, mu), wedge_power(db, n - q - 2 - mu)), tail)
           .scale(coefficient_a(n, q, mu, 0)) for mu in range(n - q - 1)]
+    return [[wedge(DoubleForm.monomial(n, hz=(j, k)), w) for w in ws]
+            for j in range(1, n + 1) for k in range(j + 1, n + 1)]
 
-    def ev(zeta, z):
+
+def _cq_series_rows(model: DomainModel, q: int, basis: list[list[DoubleForm]], conj: bool):
+    """rows(zeta, z) of sum_(c, mu) p_c s_mu basis[c][mu], with
+    p = a_j b_k - a_k b_j over the pairs c = (j, k) of `_cq_basis` and
+    s_mu = (xi / Phi)^mu (2 / rho^2)^(n-2-mu) from the jets; with conj, the
+    conjugates of p and s.  zeta or z is rows (P, n), the other one point.
+    A row is zero where alpha is, and takes beta's pole check elsewhere."""
+    n = model.n
+    keys = sorted({key for terms in basis for f in terms for key in f.coeffs})
+    E = np.array([[[f.component(key) for key in keys] for f in terms] for terms in basis])
+    js, ks = np.triu_indices(n, 1)
+    mus = np.arange(n - q - 1)
+
+    def rows(zeta, z):
+        zeta, z = np.broadcast_arrays(np.asarray(zeta, dtype=complex), np.asarray(z, dtype=complex))
         a, sa = alpha_jet(model, zeta, z)
-        av = _one_form(n, a)
-        if av.is_zero():
-            return DoubleForm.zero(n)
-        b, sb = beta_jet(model, zeta, z)
-        series = DoubleForm.zero(n)
-        for mu, w in enumerate(ws):
-            series = series + w.scale(sa ** mu * sb ** (n - 2 - mu))
-        return wedge(wedge(av, _one_form(n, b)), series)
+        live = a.any(axis=1)
+        coef = np.zeros((len(a), len(keys)), dtype=complex)
+        if live.any():
+            a = a[live]
+            b, sb = beta_jet(model, zeta[live], z[live])
+            p = a[:, js] * b[:, ks] - a[:, ks] * b[:, js]
+            s = sa[live, None] ** mus * sb[:, None] ** (n - 2 - mus)
+            if conj:
+                p, s = p.conj(), s.conj()
+            coef[live] = np.einsum("pc,pm,cmk->pk", p, s, E)
+        return [DoubleForm(n, dict(zip(keys, row))) for row in coef]
 
-    return KernelEvaluator(f"Cq[q={q}]", n, ev)
+    return rows
+
+
+def cq(model: DomainModel, q: int) -> KernelEvaluator:
+    """The double sum over a_{q mu nu} of wedge products of alpha, beta and
+    their dbar factors.  dbar_z alpha = 0, so only the nu = 0 terms are
+    nonzero, and inside alpha ^ beta the jets' scalars times Omega forms
+    stand for the dbar factors:
+
+        C_q = alpha ^ beta ^ sum_mu a_{q mu 0} (xi / Phi)^mu (2 / rho^2)^(n-2-mu) W_mu,
+        W_mu = Omega(H)^mu ^ Omega(H^T)^(n-q-2-mu) ^ Omega_z(-H^T)^q.
+
+    On rows of either variable this is one contraction of the jets' scalars
+    with the constant forms of `_cq_basis`, built once per call."""
+    rows = _cq_series_rows(model, q, _cq_basis(model, q), conj=False)
+    return KernelEvaluator.from_rows(f"Cq[q={q}]", model.n, rows, z_rows=rows)
 
 
 def lq(model: DomainModel, q: int) -> KernelEvaluator:
-    """(-1)^(q+1) *_zeta conj(C_q)."""
-    c = cq(model, q)
+    """(-1)^(q+1) *_zeta conj(C_q): the contraction of `cq` with conjugated
+    scalars and the constant forms (-1)^(q+1) *_zeta conj(E), and its own
+    *_zeta from *_zeta of those, so no row is starred as a form."""
     sign = (-1.0) ** (q + 1)
-
-    def ev(zeta, z):
-        return forms.hodge_star(conj_form(c.eval(zeta, z)), "zeta").scale(sign)
-
-    return KernelEvaluator(f"Lq[q={q}]", model.n, ev)
+    basis = [[forms.hodge_star(conj_form(f), "zeta").scale(sign) for f in terms]
+             for terms in _cq_basis(model, q)]
+    stars = [[forms.hodge_star(f, "zeta") for f in terms] for terms in basis]
+    rows = _cq_series_rows(model, q, basis, conj=True)
+    return KernelEvaluator.from_rows(f"Lq[q={q}]", model.n, rows, z_rows=rows,
+                                     star_zeta_rows=_cq_series_rows(model, q, stars, conj=True))
 
 
 def kq(model: DomainModel, q: int) -> KernelEvaluator:
@@ -405,7 +461,7 @@ def gamma0q(model: DomainModel, q: int) -> KernelEvaluator:
     def rows(zeta_rows, z):
         return gamma0q_packed(model, q, model.rho2(zeta_rows, z))
 
-    return KernelEvaluator.from_packed_rows(f"Gamma0q[q={q}]", n, q, rows)
+    return KernelEvaluator.from_rows(f"Gamma0q[q={q}]", n, rows, q)
 
 
 # -- homotopy kernels -----------------------------------------------------------
@@ -632,7 +688,7 @@ def nq_rows(model: DomainModel, q: int):
 def nq(model: DomainModel, q: int) -> KernelEvaluator:
     """Principal kernel of the Neumann operator, with `nq_rows` as its rows
     of zeta."""
-    return KernelEvaluator.from_packed_rows(f"Nq[q={q}]", model.n, q, nq_rows(model, q))
+    return KernelEvaluator.from_rows(f"Nq[q={q}]", model.n, nq_rows(model, q), q)
 
 
 def theta_coefficient(f: DoubleForm, L: tuple[int, ...]) -> DoubleForm:

@@ -79,7 +79,8 @@ def make_grid(model: DomainModel, h: float, eps: float | None = None) -> Grid:
         slabs.append(slab[model.r(slab) < -eps])
     centers = np.concatenate(slabs)
     if len(centers) == 0:
-        raise QuadError("empty grid")
+        raise QuadError(f"empty grid: no cell of {model.name}({n}) at h={h:g} "
+                        f"lies in r < -eps, eps={eps:g}")
     det = float(np.real(np.linalg.det(model.levi_const)))
     vol = (2.0 ** n) * det * h ** (2 * n)
     return Grid(model, h, eps, centers, vol)

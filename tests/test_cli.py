@@ -218,6 +218,15 @@ def test_ratio_bad_eps_is_a_usage_error(tmp_path, capsys, eps):
     assert not (tmp_path / "o").exists()
 
 
+def test_ratio_empty_grid_names_domain_h_and_eps(tmp_path, capsys):
+    # the default eps, twice the coarsest step, is wider than ball(3) at h = 2.04 / 5
+    code = run(["ratio", "--kernel", "Nq", "--n", "3", "--q", "1", "--resolutions", "5,6",
+                "--out", str(tmp_path / "o")])
+    err = _one_line_usage_error(code, capsys)
+    assert err == "error: empty grid: no cell of ball(3) at h=0.408 lies in r < -eps, eps=0.816\n"
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("delta", ["0", "-1", "nan", "inf"])
 def test_suite_bad_delta_is_a_usage_error(tmp_path, capsys, delta):
     code = run(["suite", "--domain", "pinched", "--n", "3", "--q", "0", "--suites", "morse",

@@ -5,6 +5,7 @@ suites; here we pin exact values, degrees, and the small derivative facts.
 """
 
 import dataclasses
+import inspect
 from math import comb, factorial
 
 import numpy as np
@@ -212,6 +213,130 @@ def test_cq_and_kq_match_finite_difference_assembly(model, depth):
         # (dbar_z alpha)^q = 0: exactly zero here, roundoff in the assembly
         assert kernels.kq(model, q).eval(zeta, z).is_zero()
         assert _fd_kq(model, q, zeta, z).norm() < 1e-8 * want.norm()
+
+
+# -- C_q and L_q on rows against the dict algebra ----------------------------------
+
+
+def _cq_dict(model, q):
+    """C_q = alpha ^ beta ^ sum_mu a_{q mu 0} (xi / Phi)^mu (2 / rho^2)^(n-2-mu) W_mu,
+    assembled pointwise with dict wedges: the oracle of `kernels.cq`."""
+    n, h = model.n, model.levi_const
+    da, db = kernels._jet_dbar(n, "az", h), kernels._jet_dbar(n, "az", h.T)
+    tail = forms.wedge_power(kernels._jet_dbar(n, "aw", -h.T), q)
+    ws = [forms.wedge(forms.wedge(forms.wedge_power(da, mu),
+                                  forms.wedge_power(db, n - q - 2 - mu)), tail)
+          .scale(coefficient_a(n, q, mu, 0)) for mu in range(n - q - 1)]
+
+    def ev(zeta, z):
+        a, sa = kernels.alpha_jet(model, zeta, z)
+        av = kernels._one_form(n, a)
+        if av.is_zero():
+            return DoubleForm.zero(n)
+        b, sb = kernels.beta_jet(model, zeta, z)
+        series = DoubleForm.zero(n)
+        for mu, w in enumerate(ws):
+            series = series + w.scale(sa ** mu * sb ** (n - 2 - mu))
+        return forms.wedge(forms.wedge(av, kernels._one_form(n, b)), series)
+
+    return ev
+
+
+def _lq_dict(model, q):
+    """(-1)^(q+1) *_zeta conj(C_q) of the dict oracle."""
+    c = _cq_dict(model, q)
+    return lambda zeta, z: forms.hodge_star(forms.conj_form(c(zeta, z)), "zeta").scale(
+        (-1.0) ** (q + 1))
+
+
+def _row_cases(model, q):
+    """(rows evaluator, dict oracle) for C_q, L_q and *_zeta L_q."""
+    lq_dict = _lq_dict(model, q)
+    return [(kernels.cq(model, q), _cq_dict(model, q)), (kernels.lq(model, q), lq_dict),
+            (kernels.kernel_star_zeta(kernels.lq(model, q)),
+             lambda zeta, z: forms.hodge_star(lq_dict(zeta, z), "zeta"))]
+
+
+def _assert_rows_match(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.frame == w.frame and g.coeffs.keys() <= w.coeffs.keys()
+        assert _rel(g, w) <= 1e-13
+
+
+@pytest.mark.parametrize("model", [m for m in JET_MODELS if m.n >= 3] + [
+    domain.make_domain(name, 5) for name in ("ball", "pinched")], ids=_model_id)
+def test_cq_and_lq_rows_match_the_dict_oracle(model):
+    """Stencil rows of zeta at a fixed z, and of z at a fixed zeta, on the
+    seed-0 path from t = 2^-3 to 2^-10, for every q."""
+    path = verify.PathSpec(model, verify._base_point(model, 0), "parabolic",
+                           (2.0 ** -3, 2.0 ** -6, 2.0 ** -10), 0)
+    for q in range(model.n - 1):
+        for k, oracle in _row_cases(model, q):
+            for _, zeta, z in path.pairs():
+                h = kernels._fd_scale(zeta, z)
+                zetas, zs = kernels._stencil(zeta, h), kernels._stencil(z, h)
+                _assert_rows_match(k.rows(zetas, z), [oracle(p, z) for p in zetas])
+                _assert_rows_match(k.rows(zs, zeta, "z"), [oracle(zeta, p) for p in zs])
+                _assert_rows_match([k.eval(zeta, z)], [oracle(zeta, z)])
+
+
+@pytest.mark.parametrize("model", [m for m in JET_MODELS if m.n >= 3], ids=_model_id)
+def test_rows_through_the_patch_cutoff(model):
+    """One row where xi = 1, one in the C^2 band delta < |r| < 1.5 delta and
+    one where xi = 0, whose value is zero; in either variable."""
+    rows = {depth: _pair_at_depth(model, r, seed=2) for depth, r in JET_DEPTHS.items()}
+    zetas = np.array([rows[d][0] for d in ("xi=1", "band", "xi=0")])
+    xi = model.xi_patch(zetas)
+    assert xi[0] == 1.0 and 0.0 < xi[1] < 1.0 and xi[2] == 0.0
+    z = rows["xi=1"][1]
+    for q in range(model.n - 1):
+        for k, oracle in _row_cases(model, q):
+            got = k.rows(zetas, z)
+            assert not got[1].is_zero() and got[2].coeffs == {}
+            _assert_rows_match(got, [oracle(p, z) for p in zetas])
+            # z in the band or where xi = 0: the cutoff is taken at zeta only
+            got = k.rows(zetas[::-1], z, "z")
+            _assert_rows_match(got, [oracle(z, p) for p in zetas[::-1]])
+
+
+def test_rows_pole_on_diagonal():
+    zeta, z = _frozen_pair(BALL3)
+    deep = _pair_at_depth(BALL3, JET_DEPTHS["xi=0"])[0]
+    for k, _ in _row_cases(BALL3, 1):
+        with pytest.raises(PoleOnDiagonal):
+            k.rows(np.array([zeta, z]), z)
+        with pytest.raises(PoleOnDiagonal):
+            k.rows(np.array([z, zeta]), zeta, "z")
+        # where xi = 0 the value is zero, and the pole is not reached
+        assert k.rows(np.array([zeta, deep]), deep)[1].coeffs == {}
+
+
+def _xi_scalar(model, zeta):
+    """The cutoff at one point, branch by branch."""
+    s = abs(model.r(zeta))
+    if s <= model.delta:
+        return 1.0
+    if s >= 1.5 * model.delta:
+        return 0.0
+    t = (s - model.delta) / (0.5 * model.delta)
+    return 1.0 - (10 * t ** 3 - 15 * t ** 4 + 6 * t ** 5)
+
+
+@pytest.mark.parametrize("model", JET_MODELS, ids=_model_id)
+def test_xi_patch_rows_match_the_one_point_call(model):
+    rng = np.random.default_rng(model.n)
+    pts = np.concatenate([[_pair_at_depth(model, r, seed=s)[0] for r in np.linspace(-0.3, 0.0, 40)]
+                          for s in range(3)])
+    pts = np.concatenate([pts, 0.9 * rng.standard_normal((20, model.n))])
+    one = np.array([model.xi_patch(p) for p in pts])
+    assert one.tolist() == [_xi_scalar(model, p) for p in pts]
+    # r on rows and at one point may differ in the last bit of |zeta|^2 (einsum
+    # against matmul), which the cutoff's slope, up to 25 in r, amplifies
+    np.testing.assert_allclose(model.xi_patch(pts), one, rtol=0, atol=1e-14)
+    assert ((one > 0) & (one < 1)).sum() > 10
+    assert np.array_equal(model.xi_patch(pts) == 1.0, one == 1.0)
+    assert np.array_equal(model.xi_patch(pts) == 0.0, one == 0.0)
 
 
 def test_cq_is_zero_where_xi_vanishes():
@@ -434,6 +559,9 @@ STENCIL_CASES = {
     "dbar-Gamma0q": (kernels.gamma0q, lambda k: kernels.kernel_derivative(k, "dbar", "zeta"),
                      lambda k: _pointwise_derivative(k.eval, k.n, "dbar", "zeta")),
     "vartheta-Nq": (kernels.nq, kernels.kernel_vartheta_zeta, _pointwise_vartheta),
+    "vartheta-Lq": (kernels.lq, kernels.kernel_vartheta_zeta, _pointwise_vartheta),
+    "del_z-Lq": (kernels.lq, lambda k: kernels.kernel_derivative(k, "del", "z"),
+                 lambda k: _pointwise_derivative(k.eval, k.n, "del", "z")),
 }
 
 
@@ -453,29 +581,88 @@ def test_batched_stencil_matches_pointwise(case, name, n, q):
         assert (got.eval(zeta, z) - w).norm() <= 1e-13 * w.norm()
 
 
+ROW_ENTRY_POINTS = ("zeta_rows", "z_rows", "star_zeta_rows")
+
+
 def _counted(k, log):
-    """k with its native rows recording the number of rows of each call."""
-    def rows(zeta_rows, z):
-        log.append(len(zeta_rows))
-        return k.zeta_rows(zeta_rows, z)
+    """k with each native row entry point logging (entry point, number of
+    rows) per call, and a pointwise eval that fails."""
+    def counted(entry, rows):
+        def f(zeta, z):
+            log.append((entry, len(zeta) if np.ndim(zeta) == 2 else len(z)))
+            return rows(zeta, z)
+
+        return f
 
     def no_eval(zeta, z):
         raise AssertionError("pointwise eval called")
 
-    return dataclasses.replace(k, eval=no_eval, zeta_rows=rows)
+    return dataclasses.replace(k, eval=no_eval, **{
+        entry: counted(entry, getattr(k, entry)) for entry in ROW_ENTRY_POINTS
+        if getattr(k, entry) is not None})
 
 
-@pytest.mark.parametrize("build", [kernels.nq, kernels.gamma0q], ids=["Nq", "Gamma0q"])
-@pytest.mark.parametrize("derivative", [
-    lambda k: kernels.kernel_derivative(k, "dbar", "zeta"), kernels.kernel_vartheta_zeta,
-], ids=["dbar", "vartheta"])
-def test_one_row_call_per_derivative_evaluation(build, derivative):
+def _dbar_zeta(k):
+    return kernels.kernel_derivative(k, "dbar", "zeta")
+
+
+# derivative-kernel: (kernel builder, derivative, the row entry point it calls);
+# vartheta L_q and d_z L_(q-1) are the two L-stencils of T_q
+ROW_CALL_CASES = {
+    "dbar-Nq": (kernels.nq, _dbar_zeta, "zeta_rows"),
+    "dbar-Gamma0q": (kernels.gamma0q, _dbar_zeta, "zeta_rows"),
+    "vartheta-Nq": (kernels.nq, kernels.kernel_vartheta_zeta, "zeta_rows"),
+    "vartheta-Gamma0q": (kernels.gamma0q, kernels.kernel_vartheta_zeta, "zeta_rows"),
+    "vartheta-Lq": (kernels.lq, kernels.kernel_vartheta_zeta, "star_zeta_rows"),
+    "del_z-Lq": (kernels.lq, lambda k: kernels.kernel_derivative(k, "del", "z"), "z_rows"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROW_CALL_CASES))
+def test_one_row_call_per_derivative_evaluation(case):
+    build, derivative, entry = ROW_CALL_CASES[case]
     zeta, z = _frozen_pair(BALL3)
     log = []
     d = derivative(_counted(build(BALL3, 1), log))
     d.eval(zeta, z)
     d.eval(z, zeta)
-    assert log == [8 * 3, 8 * 3]
+    assert log == [(entry, 8 * 3)] * 2
+
+
+def _wrap_builders(monkeypatch, calls):
+    """Patch every kernel builder as bench/tracer.py does: the evaluator it
+    returns becomes dataclasses.replace(k, eval=wrapper), and the wrapper logs
+    the evaluator id.  Builders reach each other through module globals, so
+    nested evaluators are wrapped too."""
+    for name, fn in list(vars(kernels).items()):
+        if inspect.isfunction(fn) and fn.__annotations__.get("return") == "KernelEvaluator":
+            def build(*args, _builder=fn, **kwargs):
+                k = _builder(*args, **kwargs)
+
+                def ev(zeta, z, _ev=k.eval, _id=k.id):
+                    calls.append(_id)
+                    return _ev(zeta, z)
+
+                return dataclasses.replace(k, eval=ev)
+
+            monkeypatch.setattr(kernels, name, build)
+
+
+@pytest.mark.parametrize("name,n,q", [("ball", 3, 1), ("pinched", 4, 2)])
+def test_wrapped_builders_keep_values_and_rows(monkeypatch, name, n, q):
+    """A traced pass reads the same bits and keeps the L_q row calls."""
+    model = domain.make_domain(name, n)
+    zeta, z = _frozen_pair(model)
+    want = [k.eval(zeta, z) for k in (kernels.tq(model, q),
+                                      adjoint_kernel(kernels.tq(model, q - 1)))]
+    calls = []
+    _wrap_builders(monkeypatch, calls)
+    got = [kernels.tq(model, q), kernels.adjoint_kernel(kernels.tq(model, q - 1))]
+    for k, w in zip(got, want):
+        calls.clear()
+        assert k.eval(zeta, z).coeffs == w.coeffs
+        assert any(c.startswith("vartheta[Lq") for c in calls)
+        assert [c for c in calls if c.startswith(("Lq", "star_z[Lq"))] == []
 
 
 def test_kernels_without_rows_evaluate_each_stencil_point():

@@ -86,12 +86,14 @@ def test_tq_slope_matches_type_prediction():
 
 # dgh on ball n=3, q=1, seed 0: (check, slope, exact), recorded when every
 # frame change took its minors from forms.compound (Laplace expansion) and
-# H its conormal constants from kernels.conormal_weight
+# H its conormal constants from kernels.conormal_weight; case c re-recorded
+# when L_q went onto rows: that line is fitted down to the Richardson noise
+# floor of h_numeric, so last-bit changes in L_q move it
 DGH_FROZEN = [
     ("dbar-G-vs-H-ab-L=1", -5.993491522683619, False),
     ("dbar-G-vs-H-ab-L=2", -6.011264351818629, False),
     ("dbar-G-vs-H-nQ-L=3", float("inf"), True),
-    ("case-c-components-small", -4.603958760246391, False),
+    ("case-c-components-small", -4.607708326363094, False),
 ]
 
 
