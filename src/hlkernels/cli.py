@@ -86,8 +86,12 @@ def cmd_suite(args) -> int:
     all_pass = True
     reports = []
     for name in names:
-        rep = verify.run_suite(name, cfg["domain"], cfg["n"], cfg["q"],
-                               seed=cfg["seed"], t_grid=t_grid, delta=cfg["delta"])
+        try:
+            rep = verify.run_suite(name, cfg["domain"], cfg["n"], cfg["q"],
+                                   seed=cfg["seed"], t_grid=t_grid, delta=cfg["delta"])
+        except verify.VerifyError as e:     # the input passed check_suite_args
+            print(f"error: suite {name}: {e}", file=sys.stderr)
+            return EXIT_FAIL
         reports.append(rep)
         all_pass &= rep["passed"]
         for c in rep["checks"]:
@@ -170,14 +174,9 @@ def cmd_ratio(args) -> int:
         raise ValueError("ratio needs p, s, trials and every resolution >= 1, and p, s, a, b "
                          f"finite; got {', '.join(bad)}")
     model = make_domain(cfg["domain"], cfg["n"], delta=cfg["delta"])
-    from fractions import Fraction
-    threshold = zalg.e1_threshold if args.kernel == "E" else zalg.nq_threshold
-    thresh = threshold(args.p, cfg["n"])
-    admissible = Fraction(1, 1) / Fraction(args.s).limit_denominator(1000) > thresh
     rep = quad.ratio_table(model, args.kernel, cfg["q"], a=args.a, b=args.b,
                            p=args.p, s=args.s, trials=args.trials,
-                           resolutions=resolutions, seed=cfg["seed"],
-                           admissible=bool(admissible), eps=cfg.get("eps"))
+                           resolutions=resolutions, seed=cfg["seed"], eps=cfg.get("eps"))
     out = _outdir(cfg)
     csv_path = out / f"ratio_{args.kernel}.csv"
     with csv_path.open("w", newline="") as fh:
@@ -235,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ratio", help="mapping-ratio table")
     common(p)
-    p.add_argument("--kernel", choices=["E", "Nq"], required=True)
+    p.add_argument("--kernel", choices=list(quad.RATIO_KERNELS), required=True)
     p.add_argument("--p", type=float, default=2.0)
     p.add_argument("--s", type=float, default=3.5)
     p.add_argument("--a", type=float, default=0.0)

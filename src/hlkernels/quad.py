@@ -9,6 +9,7 @@ needed and first-order quadrature suffices for the rate-based checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from itertools import product
 
@@ -254,9 +255,8 @@ def batch_isotropic_model(model: DomainModel):
     """Scalar borderline isotropic kernel rho^-(2n-1), packed (nodes, 1, 1)."""
 
     def ev(nodes: np.ndarray, z: np.ndarray) -> np.ndarray:
-        d = nodes - np.asarray(z, dtype=complex)[None, :]
-        rho = np.sqrt(2.0 * np.sum(np.abs(d) ** 2, axis=1))
-        return (rho ** (-(2 * model.n - 1)))[:, None, None].astype(complex)
+        rho = np.sqrt(model.rho2(nodes, z))
+        return (rho ** (1 - 2 * model.n))[:, None, None].astype(complex)
 
     return ev
 
@@ -306,6 +306,18 @@ class _FieldStack:
         return np.stack([f.batch(pts) for f in self.fields], axis=1)
 
 
+# name -> (batch evaluator of (model, q), degree of its field, descriptors of
+# (typecalc, n, q)).  Builders are looked up at each call, so a wrapper bound to
+# them runs; typecalc is passed in, so importing quad does not import it.
+RATIO_KERNELS = {
+    "E": (lambda model, q: batch_isotropic_model(model), lambda q: 0,
+          lambda tc, n, q: [tc.dbar_gamma0q_descriptor(n, q)]),
+    "Nq": (lambda model, q: batch_nq(model, q), lambda q: q,
+           lambda tc, n, q: [*tc.neumann_main_terms(n, q), *tc.neumann_ratio_terms(n, q),
+                             tc.neumann_nu_term(n, q)]),
+}
+
+
 @dataclass
 class RatioRow:
     resolution: int
@@ -320,13 +332,13 @@ class RatioRow:
 def ratio_table(model: DomainModel, kernel_name: str, q: int,
                 a: float, b: float, p: float, s: float,
                 trials: int, resolutions: list[int], seed: int = 11,
-                n_targets: int = 32, admissible: bool | None = None,
-                eps: float | None = None) -> dict:
+                n_targets: int = 32, eps: float | None = None) -> dict:
     """Max weighted-norm ratios per resolution for seeded smooth fields.
 
     ||gamma^a K f||_(L^s, targets) / (||gamma^b f||_(L^p) + ||f||_(L^2)).
     Targets are drawn once and the exhaustion parameter is pinned to the
     coarsest grid, so the ratios compare like for like across refinements.
+    s is admissible when 1/s (s to 3 decimals) exceeds the kernel's threshold.
     """
     n = model.n
     cand = np.random.default_rng(seed).uniform(-0.45, 0.45, (TARGET_DRAWS, 2 * n))
@@ -335,14 +347,10 @@ def ratio_table(model: DomainModel, kernel_name: str, q: int,
     if len(targets) < n_targets:
         raise QuadError(f"{model.name}: fewer than {n_targets} targets with r < -0.3 "
                         f"in {TARGET_DRAWS} draws from the box |Re|, |Im| < 0.45")
-    if kernel_name == "E":
-        batch = batch_isotropic_model(model)
-        kq = 0
-    elif kernel_name == "Nq":
-        batch = batch_nq(model, q)
-        kq = q
-    else:
+    if kernel_name not in RATIO_KERNELS:
         raise QuadError(f"no vectorized kernel {kernel_name!r}")
+    build, degree, descriptors = RATIO_KERNELS[kernel_name]
+    batch, kq = build(model, q), degree(q)
     if eps is None:
         eps = 2.0 * (2.0 * GRID_BOX / min(resolutions))
     fields = [random_test_field(model, kq, seed=seed + 100 * trial)
@@ -374,9 +382,12 @@ def ratio_table(model: DomainModel, kernel_name: str, q: int,
     for r in rows:
         by_res.setdefault(r.resolution, []).append(r.ratio)
     summary = {res: max(v) for res, v in sorted(by_res.items())}
+    from . import typecalc, zalg     # only the threshold needs them
+    inv_s = 0 if s == np.inf else 1 / Fraction(s).limit_denominator(1000)
     meta = {"kernel": kernel_name, "domain": model.name, "n": n, "q": q,
             "p": p, "s": s, "a": a, "b": b, "seed": seed,
-            "admissible": admissible, "max_ratio_by_resolution": summary}
+            "admissible": inv_s > zalg.type_threshold(descriptors(typecalc, n, q), p, n),
+            "max_ratio_by_resolution": summary}
     return {"rows": rows, "meta": meta}
 
 

@@ -157,7 +157,7 @@ def lq_main_terms(n: int, q: int) -> list[AdmissibleDescriptor]:
 
 
 def h_main_terms(n: int, q: int) -> list[AdmissibleDescriptor]:
-    """Descriptors for the three families of printed H-term monomials."""
+    """Descriptors of every printed H-term monomial, the conormal block included."""
     out = []
     for mu in range(0, n - q - 1):
         out.append(AdmissibleDescriptor(
@@ -172,6 +172,7 @@ def h_main_terms(n: int, q: int) -> list[AdmissibleDescriptor]:
     out.append(AdmissibleDescriptor(N=1, j=1, **cb, label=f"H-case-b-gsigma1 n={n} q={q}"))
     out.append(AdmissibleDescriptor(N=0, j=2, **cb, label=f"H-case-b-sigma2 n={n} q={q}"))
     out.append(AdmissibleDescriptor(N=0, j=0, l=1, **cb, label=f"H-case-b-r n={n} q={q}"))
+    out.append(AdmissibleDescriptor(N=0, j=1, t0=n, label=f"H-nu n={n} q={q}"))
     return out
 
 

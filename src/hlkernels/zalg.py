@@ -32,6 +32,8 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
+from . import typecalc
+
 _SUBN = {"id": "N", "dbar": "dbarN", "dbarstar": "dbarstarN", "box": "boxN"}
 _BOUNDED = {"H", "N", "dbarN", "dbarstarN"}
 
@@ -388,10 +390,7 @@ def expected_mainint(j: int, part: str) -> ZExpr:
         terms.append(ZExpr.z(j, inner="dbarstar"))
     else:
         raise ZalgError(f"unknown part {part!r}")
-    out = terms[0]
-    for t in terms[1:]:
-        out = out + t
-    return out
+    return sum(terms[1:], terms[0])
 
 
 _KIND_SETUP = {
@@ -441,10 +440,7 @@ def expected_intmain(kind: str, j: int) -> ZExpr:
             terms.append(ZExpr.z(3, arg_g=2, inner="id"))
     else:
         terms.append(ZExpr.z(2, arg_g=min(3 * j - 2, 2), inner="id"))
-    out = terms[0]
-    for t in terms[1:]:
-        out = out + t
-    return out
+    return sum(terms[1:], terms[0])
 
 
 def strip_ledger(expr: ZExpr) -> tuple[ZExpr, list[Term]]:
@@ -500,25 +496,15 @@ def map_exponent(j: int, p, n: int) -> Fraction:
     return Fraction(1, 1) / p - Fraction(j, 2 * n + 2)
 
 
-def e1_threshold(p, n: int) -> Fraction:
-    """Infimal 1/s for the borderline isotropic class, 1 <= p <= infinity."""
-    p = Fraction(p)
-    if p < 1:
+def type_threshold(descriptors, p, n: int) -> Fraction:
+    """Infimal 1/s for the L^p -> L^s mapping of a kernel with these `typecalc`
+    descriptors, 1 <= p <= infinity: 1/p - j/(2n+2) for admissible type j and
+    1/p - j/(2n) for isotropic type j, at the term that maps worst."""
+    if not p >= 1:
         raise ZalgError("requires p >= 1")
-    return Fraction(1, 1) / p - Fraction(1, 2 * n)
-
-
-def nq_threshold(p, n: int) -> Fraction:
-    """Infimal 1/s for the principal Neumann kernel (the weighted theorem)."""
-    return Fraction(1, 1) / Fraction(p) - Fraction(1, n + 1)
-
-
-def admissible_s(j_or_kind, p, n: int, weight_theorem: bool = False) -> Fraction:
-    """Supremal admissible s (as a Fraction; may be infinite -> raises)."""
-    inv = nq_threshold(p, n) if weight_theorem else map_exponent(j_or_kind, p, n)
-    if inv <= 0:
-        raise ZalgError("no finite threshold; every s admissible")
-    return 1 / inv
+    return (0 if p == math.inf else 1 / Fraction(p)) - min(
+        typecalc.isotropic_type(d, n) / (2 * n) if isinstance(d, typecalc.IsotropicDescriptor)
+        else Fraction(typecalc.admissible_type(d, n), 2 * n + 2) for d in descriptors)
 
 
 def transcript_json(kind: str, j: int) -> str:

@@ -198,7 +198,7 @@ def test_acceptance_7_mapping_ratios():
     ok = True
     det = []
     # borderline isotropic class on the ball, n=2: s below the threshold 4
-    assert 1 / zalg.e1_threshold(2, 2) == 4
+    assert 1 / zalg.type_threshold(quad.RATIO_KERNELS["E"][2](tc, 2, 0), 2, 2) == 4
     rep = quad.ratio_table(domain.ball(2), "E", 0, a=0.0, b=0.0, p=2, s=3.5,
                            trials=8, resolutions=[12, 16, 20], seed=11)
     mr = rep["meta"]["max_ratio_by_resolution"]
@@ -207,7 +207,7 @@ def test_acceptance_7_mapping_ratios():
     ok &= all(g <= 0.15 for g in growth)
     det.append(f"E: growths {[f'{g:.1%}' for g in growth]}")
     # principal Neumann operator on the ball, n=3: s below 1/(1/p - 1/(n+1)) = 4
-    assert zalg.admissible_s(None, 2, 3, weight_theorem=True) == 4
+    assert 1 / zalg.type_threshold(quad.RATIO_KERNELS["Nq"][2](tc, 3, 1), 2, 3) == 4
     rep = quad.ratio_table(domain.ball(3), "Nq", 1, a=15.0, b=2.0, p=2, s=3.5,
                            trials=8, resolutions=[8, 10, 12], seed=11)
     mr = rep["meta"]["max_ratio_by_resolution"]

@@ -3,6 +3,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hlkernels import cli
@@ -135,6 +136,16 @@ def test_suite_nkern_needs_n3(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_suite_that_fails_to_fit_exits_1(tmp_path, capsys):
+    # valid input: nkern is defined at n=5, q=1, but its rate fit at n=5
+    # has fewer than five positive samples
+    code = run(["suite", "--domain", "ball", "--n", "5", "--q", "1", "--suites", "nkern",
+                "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == "error: suite nkern: fewer than five positive samples\n"
+
+
 def test_suite_q_out_of_range(tmp_path, capsys):
     code = run(["suite", "--n", "3", "--q", "5", "--suites", "lemmalq",
                 "--out", str(tmp_path / "o")])
@@ -244,3 +255,29 @@ def test_domain_error_is_a_usage_error(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(quad, "ratio_table", too_far)
     code = run(["ratio", "--kernel", "Nq", "--out", str(tmp_path / "o")])
     _one_line_usage_error(code, capsys)
+
+
+DATA = Path(__file__).resolve().parent / "data"
+
+
+@pytest.mark.parametrize("kernel, args", [
+    # the README's example
+    ("E", ["--domain", "ball", "--n", "2", "--s", "3.5", "--resolutions", "12,16,20"]),
+    ("Nq", ["--n", "3", "--q", "1", "--resolutions", "8", "--trials", "2"]),
+])
+def test_ratio_writes_the_recorded_files(tmp_path, kernel, args):
+    """Outputs recorded when the CLI still chose the threshold itself.  The
+    metadata is byte-identical.  The E kernel now takes rho^2 from the model,
+    whose sum rounds differently from 2 sum |d|^2, so its ratios may move in
+    the last bit."""
+    out = tmp_path / "o"
+    assert run(["ratio", "--kernel", kernel, *args, "--out", str(out)]) == 0
+    meta = f"ratio_{kernel}_meta.json"
+    assert (out / meta).read_bytes() == (DATA / meta).read_bytes()
+    got, want = ((d / f"ratio_{kernel}.csv").read_text().splitlines() for d in (out, DATA))
+    if kernel == "Nq":
+        assert got == want
+    assert [r.rsplit(",", 1)[0] for r in got] == [r.rsplit(",", 1)[0] for r in want]
+    np.testing.assert_allclose([float(r.rsplit(",", 1)[1]) for r in got[1:]],
+                               [float(r.rsplit(",", 1)[1]) for r in want[1:]],
+                               rtol=1e-15, atol=0)

@@ -1,5 +1,7 @@
 """Grids, weighted norms, operator application, ratio tables."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -379,8 +381,29 @@ def test_blocked_evaluation_matches_one_block(monkeypatch, kernel_name):
 
 
 def test_ratio_table_unknown_kernel():
-    with pytest.raises(QuadError):
+    with pytest.raises(QuadError, match="no vectorized kernel 'X'"):
         ratio_table(BALL2, "X", 0, a=0, b=0, p=2, s=3.5, trials=1, resolutions=[8])
+
+
+@pytest.mark.parametrize("p, s, admissible", [
+    (2, 3.5, True), (2, 5, False), (2, np.inf, False), (np.inf, np.inf, True)])
+def test_ratio_table_works_out_admissibility(p, s, admissible):
+    # E at n=2 is isotropic type 1: s is admissible where 1/s > 1/p - 1/4, so
+    # below 4 at p=2, and at every s at p=inf
+    rep = ratio_table(BALL2, "E", 0, a=0, b=0, p=p, s=s, trials=1, resolutions=[8])
+    assert rep["meta"]["admissible"] is admissible
+
+
+def test_isotropic_model_follows_the_levi_matrix():
+    # rho^2 = 2 <levi d, d>: with a non-identity Levi matrix it is not 2 |d|^2
+    levi = np.array([[2.0, 0.5j], [-0.5j, 1.0]])
+    model = dataclasses.replace(BALL2, levi_const=levi)
+    z = np.array([0.1 + 0.05j, -0.2j])
+    nodes = make_grid(BALL2, 0.3).centers
+    d = nodes - z
+    rho2 = 2 * np.real(np.einsum("pi,ij,pj->p", d.conj(), levi, d))
+    np.testing.assert_allclose(quad.batch_isotropic_model(model)(nodes, z)[:, 0, 0],
+                               rho2 ** -1.5, rtol=1e-13, atol=0)
 
 
 def test_apply_translation_consistency():

@@ -32,6 +32,20 @@ def test_h_term_type():
     assert admissible_type(d, 3) == 1
 
 
+def test_h_conormal_block_descriptor():
+    """`kernels.hq_main`'s block const conj(L_j) rho^2, const ~ P^-n, for L
+    holding n: type 1, and tq-type's predicted slope stays that of case a."""
+    for n in range(3, 7):
+        for q in range(0, n - 1):
+            terms = tc.h_main_terms(n, q)
+            nu = terms[-1]
+            assert nu == AdmissibleDescriptor(N=0, j=1, t0=n, label=f"H-nu n={n} q={q}")
+            assert admissible_type(nu, n) == 1
+            assert exponent_along_path(nu, n) == 1 - 2 * n
+            assert min(exponent_along_path(d, n) for d in terms) == -2 * n - 1
+            assert min(exponent_along_path(d, n) for d in terms[:-1]) == -2 * n - 1
+
+
 def test_table_sweep():
     for n in range(3, 7):
         for q in range(1, n - 1):

@@ -82,6 +82,7 @@ def test_tq_slope_matches_type_prediction():
     c = rep["checks"][0]
     assert c["passed"], c
     assert abs(c["slope_measured"] - c["slope_required"]) <= 0.2
+    assert c["slope_required"] == -7       # -2n-1, case a of H at mu = 0
 
 
 # dgh on ball n=3, q=1, seed 0: (check, slope, exact), recorded when every

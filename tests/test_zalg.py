@@ -6,12 +6,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hlkernels import zalg
+from hlkernels import quad, typecalc, zalg
 from hlkernels.zalg import (NotComparable, Term, ZExpr, compare_modulo_ledger,
-                            derive_intmain, derive_mainint, e1_threshold,
-                            expected_intmain, expected_mainint, gamma3_axiom,
-                            map_exponent, principal_part_type, simplify,
-                            strip_ledger, transcript_json)
+                            derive_intmain, derive_mainint, expected_intmain,
+                            expected_mainint, gamma3_axiom, map_exponent,
+                            principal_part_type, simplify, strip_ledger,
+                            transcript_json, type_threshold)
 
 
 def test_gamma3_axioms_are_weight3_normal_forms():
@@ -140,13 +140,31 @@ def test_principal_part_trivial_cases():
 
 
 def test_map_exponent_values():
-    assert map_exponent(2, 2, 3) == Fraction(1, 4)          # s < 4
-    assert e1_threshold(2, 2) == Fraction(1, 4)             # s < 4
-    assert 1 / (Fraction(1, 2) - Fraction(1, 5)) == Fraction(10, 3)
-    assert zalg.admissible_s(2, 2, 3) == 4
-    assert zalg.admissible_s(None, 2, 4, weight_theorem=True) == Fraction(10, 3)
+    e_terms = quad.RATIO_KERNELS["E"][2](typecalc, 2, 0)
+    nq_terms = {n: quad.RATIO_KERNELS["Nq"][2](typecalc, n, 1) for n in (3, 4)}
+    assert map_exponent(2, 2, 3) == Fraction(1, 4)                  # s < 4
+    assert type_threshold(e_terms, 2, 2) == Fraction(1, 4)          # isotropic type 1
+    assert type_threshold(nq_terms[3], 2, 3) == Fraction(1, 4)      # admissible type 2
+    assert type_threshold(nq_terms[4], 2, 4) == Fraction(3, 10)     # s < 10/3
+    assert type_threshold(nq_terms[3], 2, 3) == map_exponent(2, 2, 3)
     with pytest.raises(zalg.ZalgError):
         map_exponent(2, 1, 3)
+    # between p = 1 and p = 2 only the kernel rule applies
+    assert type_threshold(e_terms, 1, 2) == Fraction(3, 4)
+    assert type_threshold(e_terms, np.inf, 2) == Fraction(-1, 4)
+    for p in (Fraction(1, 2), np.nan):
+        with pytest.raises(zalg.ZalgError):
+            type_threshold(e_terms, p, 2)
+
+
+def test_type_threshold_takes_the_term_of_least_type():
+    # T_q: admissible H terms of type 1 beside the isotropic dbar Gamma_0q of
+    # type 1; 1/(2n+2) < 1/(2n), so the admissible terms set the threshold
+    for n in (3, 4):
+        adm, iso = typecalc.tq_main_descriptors(n, 1)
+        want = Fraction(1, 2) - Fraction(1, 2 * n + 2)
+        assert type_threshold([*adm, iso], 2, n) == want
+        assert type_threshold([iso], 2, n) == Fraction(1, 2) - Fraction(1, 2 * n)
 
 
 def test_transcript_roundtrip():
