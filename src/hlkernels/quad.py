@@ -49,6 +49,39 @@ class Grid:
         gam.flags.writeable = False
         return gam
 
+    @cached_property
+    def reals(self) -> np.ndarray:
+        """(ncells, 2n) real coordinates of the centers, Re z_1, Im z_1, ...
+        (read-only)."""
+        reals = np.empty((len(self), 2 * self.n))
+        reals[:, 0::2], reals[:, 1::2] = self.centers.real, self.centers.imag
+        reals.flags.writeable = False
+        return reals
+
+    @cached_property
+    def subcell_offsets(self) -> np.ndarray:
+        """(2^(2n), n) complex offsets of the 2x-refined subcell midpoints
+        from their cell's center (read-only)."""
+        offs = np.array(list(product((-self.h / 4, self.h / 4), repeat=2 * self.n)))
+        offs = offs[:, 0::2] + 1j * offs[:, 1::2]
+        offs.flags.writeable = False
+        return offs
+
+    @cached_property
+    def subcell_inside(self) -> np.ndarray:
+        """(ncells, 2^(2n)) mask of the subcells whose midpoint lies in
+        r < -eps, built a chunk of cells at a time so the subcells'
+        coordinates are never all held at once (read-only)."""
+        offs = self.subcell_offsets
+        inside = np.empty((len(self), len(offs)), dtype=bool)
+        step = max(1, BLOCK_NODES // len(offs))
+        for lo in range(0, len(self), step):
+            sub = self.centers[lo:lo + step, None, :] + offs
+            inside[lo:lo + step] = self.model.r(sub.reshape(-1, self.n)).reshape(
+                -1, len(offs)) < -self.eps
+        inside.flags.writeable = False
+        return inside
+
     def total_volume(self) -> float:
         return self.cell_volume * len(self.centers)
 
@@ -127,28 +160,26 @@ def norm_values(values: np.ndarray, gammas: np.ndarray, vol: float,
 
 def _split_nodes(grid: Grid, z: np.ndarray):
     """Far cells plus locally 2x-refined subcells near one target, with the
-    diagonal exclusion of subcells within h/2."""
-    n = grid.n
+    diagonal exclusion of subcells within h/2.  Only the near-cell test and
+    the exclusion depend on the target; the rest is cached on the grid."""
     h = grid.h
-    reals = np.concatenate([np.stack([grid.centers.real[:, j], grid.centers.imag[:, j]],
-                                     axis=1) for j in range(n)], axis=1)
-    zr = np.concatenate([[z.real[j], z.imag[j]] for j in range(n)])
-    inf_dist = np.max(np.abs(reals - zr), axis=1)
+    zr = np.empty(2 * grid.n)
+    zr[0::2], zr[1::2] = z.real, z.imag
+    inf_dist = np.max(np.abs(grid.reals - zr), axis=1)
     near = inf_dist <= 1.5 * h
     far = ~near
     far_vols = np.full(int(np.count_nonzero(far)), grid.cell_volume)
-    if not np.any(near):
-        return far, far_vols, np.zeros((0, n), dtype=complex), np.zeros(0)
-    offs = np.array(list(product((-h / 4, h / 4), repeat=2 * n)))
-    base = reals[near]
-    sub = (base[:, None, :] + offs[None, :, :]).reshape(-1, 2 * n)
-    sub_c = sub[:, 0::2] + 1j * sub[:, 1::2]
-    dist = np.linalg.norm(sub_c - z[None, :], axis=1)
-    rvals = grid.model.r(sub_c)
-    keep = (dist >= h / 2) & (rvals < -grid.eps)
-    sub_c = sub_c[keep]
-    sub_vol = np.full(len(sub_c), grid.cell_volume / (2 ** (2 * n)))
-    return far, far_vols, sub_c, sub_vol
+    cells, offs = np.nonzero(grid.subcell_inside[near])
+    cells = np.flatnonzero(near)[cells]
+    sub = grid.centers[cells] + grid.subcell_offsets[offs]
+    # a subcell within h/2 of z has its cell's center within 3h/4 of z in
+    # every coordinate, so only the cells nearer than h need the distance
+    close = np.flatnonzero(inf_dist[cells] < h)
+    keep = np.ones(len(sub), dtype=bool)
+    keep[close] = np.linalg.norm(sub[close] - z, axis=1) >= h / 2
+    sub = sub[keep]
+    sub_vol = np.full(len(sub), grid.cell_volume / (2 ** (2 * grid.n)))
+    return far, far_vols, sub, sub_vol
 
 
 def apply_kernel(kernel: KernelEvaluator | None, f_func, grid: Grid,
@@ -159,7 +190,8 @@ def apply_kernel(kernel: KernelEvaluator | None, f_func, grid: Grid,
     (points, ..., ncomp) for a stack of fields.  Returns (ntargets, ...,
     ncomp) output components in the conjugate z basis.  batch_eval returns
     the packed kernel coefficient array (nodes, ncomp_in, ncomp_out) for
-    fixed z; without it, `batch_kernel(kernel, q)`.  The kernel is evaluated
+    fixed z, a fresh array that the contraction conjugates and weights in
+    place; without it, `batch_kernel(kernel, q)`.  The kernel is evaluated
     once per target, and applied to every field of the stack at once."""
     if batch_eval is None:
         batch_eval = batch_kernel(kernel, q)
@@ -176,12 +208,20 @@ def apply_kernel(kernel: KernelEvaluator | None, f_func, grid: Grid,
         K = batch_eval(nodes, z)
         for lo in range(0, len(nodes), BLOCK_NODES):
             hi = min(lo + BLOCK_NODES, len(nodes))
-            fdata = _field_rows(f_func, far_data, sub, lo, hi)
-            out[ti] += np.einsum("i...b,iba->...a", fdata,
-                                 K[lo:hi].conj() * vols[lo:hi, None, None],
-                                 optimize=True)
+            out[ti] += _contract(_field_rows(f_func, far_data, sub, lo, hi),
+                                 K[lo:hi], vols[lo:hi])
         del K
     return out
+
+
+def _contract(fdata: np.ndarray, k: np.ndarray, vols: np.ndarray) -> np.ndarray:
+    """sum_i vols[i] fdata[i, ..., b] conj(k[i, b, a]) as one matrix product
+    (fields..., nodes*B) @ (nodes*B, A), for one field or a stack; k is
+    conjugated and weighted in place."""
+    np.conjugate(k, out=k)
+    k *= vols[:, None, None]
+    rows = np.moveaxis(fdata, 0, -2).reshape(*fdata.shape[1:-1], -1)
+    return rows @ k.reshape(-1, k.shape[-1])
 
 
 def _field_rows(f_func, far_data: np.ndarray, sub: np.ndarray,
@@ -281,12 +321,22 @@ class TestField:
         self.lin = rng.standard_normal(2 * n) * 0.5
 
     def batch(self, pts: np.ndarray) -> np.ndarray:
-        d = np.atleast_2d(pts) - self.c[None, :]
-        r2 = np.sum(np.abs(d) ** 2, axis=1)
-        amp = np.exp(-r2 / (2 * FIELD_SCALE ** 2))
-        reals = np.concatenate([d.real, d.imag], axis=1)
-        poly = 1.0 + reals @ self.lin
-        return (amp * poly)[:, None] * self.coef[None, :]
+        return _sample_fields(np.atleast_2d(pts), [self])[:, 0]
+
+
+def _sample_fields(pts: np.ndarray, fields) -> np.ndarray:
+    """The test fields at the rows of pts, (points, nfields, ncomp): the
+    Gaussian of |x-c|^2 = |x|^2 - 2 x.c + |c|^2 times 1 + (x-c).lin, with x
+    and c in real coordinates (Re part, then Im part), from one matrix
+    product against the stacked centers and lin."""
+    x = np.concatenate([pts.real, pts.imag], axis=1)
+    c = np.array([np.concatenate([f.c.real, f.c.imag]) for f in fields])
+    lin = np.array([f.lin for f in fields])
+    coef = np.array([f.coef for f in fields])
+    xc, xl = np.hsplit(x @ np.concatenate([c, lin]).T, 2)
+    r2 = np.sum(x ** 2, axis=1)[:, None] - 2.0 * xc + np.sum(c ** 2, axis=1)
+    prof = np.exp(-r2 / (2 * FIELD_SCALE ** 2)) * (1.0 + xl - np.sum(c * lin, axis=1))
+    return prof[:, :, None] * coef[None, :, :]
 
 
 def random_test_field(model: DomainModel, q: int, seed: int) -> TestField:
@@ -297,13 +347,13 @@ def random_test_field(model: DomainModel, q: int, seed: int) -> TestField:
 
 
 class _FieldStack:
-    """Fields with a batch method viewed as one: (points, nfields, ncomp)."""
+    """Test fields viewed as one: (points, nfields, ncomp)."""
 
     def __init__(self, fields):
         self.fields = fields
 
     def batch(self, pts: np.ndarray) -> np.ndarray:
-        return np.stack([f.batch(pts) for f in self.fields], axis=1)
+        return _sample_fields(pts, self.fields)
 
 
 # name -> (batch evaluator of (model, q), degree of its field, descriptors of

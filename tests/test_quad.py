@@ -1,6 +1,7 @@
 """Grids, weighted norms, operator application, ratio tables."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -354,10 +355,100 @@ def test_make_grid_matches_dense_lattice():
         assert np.array_equal(g.centers, want)
 
 
+# -- the slow paths that the fast ones replace, kept as oracles ----------------
+
+
+def _sampled_one_by_one(fields, pts):
+    """The test fields sampled one at a time from d = x - c, as TestField.batch
+    did before one formula sampled the whole stack: (points, nfields, ncomp)."""
+    out = []
+    for f in fields:
+        d = pts - f.c[None, :]
+        amp = np.exp(-np.sum(np.abs(d) ** 2, axis=1) / (2 * quad.FIELD_SCALE ** 2))
+        poly = 1.0 + np.concatenate([d.real, d.imag], axis=1) @ f.lin
+        out.append((amp * poly)[:, None] * f.coef[None, :])
+    return np.stack(out, axis=1)
+
+
+def _split_nodes_per_target(grid, z):
+    """_split_nodes as it was before the grid cached its subcell geometry:
+    every cell's real coordinates, and r at every near subcell, rebuilt for
+    the target.  Also returns the number of subcells that r < -eps drops."""
+    n, h = grid.n, grid.h
+    reals = np.concatenate([np.stack([grid.centers.real[:, j], grid.centers.imag[:, j]],
+                                     axis=1) for j in range(n)], axis=1)
+    zr = np.concatenate([[z.real[j], z.imag[j]] for j in range(n)])
+    near = np.max(np.abs(reals - zr), axis=1) <= 1.5 * h
+    far = ~near
+    far_vols = np.full(int(np.count_nonzero(far)), grid.cell_volume)
+    offs = np.array(list(itertools.product((-h / 4, h / 4), repeat=2 * n)))
+    sub = (reals[near][:, None, :] + offs[None, :, :]).reshape(-1, 2 * n)
+    sub_c = sub[:, 0::2] + 1j * sub[:, 1::2]
+    dist = np.linalg.norm(sub_c - z[None, :], axis=1)
+    rvals = grid.model.r(sub_c)
+    keep = (dist >= h / 2) & (rvals < -grid.eps)
+    sub_c = sub_c[keep]
+    sub_vols = np.full(len(sub_c), grid.cell_volume / (2 ** (2 * n)))
+    dropped = int(np.count_nonzero((dist >= h / 2) & ~keep))
+    return far, far_vols, sub_c, sub_vols, dropped
+
+
+def _apply_by_einsum(fields, grid, targets, batch_eval):
+    """apply_kernel as it was: the per-target split, the fields sampled one
+    at a time and one einsum over all of a target's nodes.  (ntargets,
+    nfields, ncomp)."""
+    out = []
+    for z in targets:
+        far, far_vols, sub, sub_vols, _ = _split_nodes_per_target(grid, z)
+        nodes = np.concatenate([grid.centers[far], sub])
+        vols = np.concatenate([far_vols, sub_vols])
+        out.append(np.einsum("i...b,iba->...a", _sampled_one_by_one(fields, nodes),
+                             batch_eval(nodes, z).conj() * vols[:, None, None],
+                             optimize=True))
+    return np.array(out)
+
+
+def _near_the_edge(grid, count):
+    """Points a third of a cell off the grid's outermost cells, where some
+    refined subcells leave r < -eps."""
+    edge = grid.centers[np.argsort(grid.model.r(grid.centers))[-count:]]
+    return edge + grid.h / 3 * (1 - 0.5j)
+
+
+@pytest.mark.parametrize("model, q", [(BALL2, 0), (BALL3, 1)], ids=["n2q0", "n3q1"])
+def test_field_stack_is_the_fields_one_by_one(model, q):
+    g = make_grid(model, 0.3, eps=0.2)
+    sub = quad._split_nodes(g, _near_the_edge(g, 1)[0])[2]
+    pts = np.concatenate([g.centers, sub])
+    fields = [quad.random_test_field(model, q, seed=s) for s in range(8)]
+    want = _sampled_one_by_one(fields, pts)
+    # the affine factor crosses zero, so each field is compared at its own scale
+    scale = np.max(np.abs(want), axis=0)
+    assert np.all(np.abs(quad._FieldStack(fields).batch(pts) - want) <= 1e-13 * scale)
+    assert np.all(np.abs(fields[3].batch(pts) - want[:, 3]) <= 1e-13 * scale[3])
+
+
+@pytest.mark.parametrize("model, h, eps", [
+    (BALL2, 0.15, 0.3), (BALL3, 0.3, 0.2), (domain.pinched(3), 0.3, 0.2)],
+    ids=["ball2", "ball3", "pinched3"])
+def test_split_nodes_is_the_per_target_split(model, h, eps):
+    g = make_grid(model, h, eps=eps)
+    dropped = 0
+    for z in _near_the_edge(g, 6):
+        far, far_vols, sub, sub_vols = quad._split_nodes(g, z)
+        want_far, want_far_vols, want_sub, want_sub_vols, out = _split_nodes_per_target(g, z)
+        assert np.array_equal(far, want_far) and np.array_equal(far_vols, want_far_vols)
+        assert np.array_equal(sub, want_sub) and np.array_equal(sub_vols, want_sub_vols)
+        dropped += out
+    # the edge targets do meet subcells that r < -eps drops
+    assert dropped > 0
+
+
 @pytest.mark.parametrize("kernel_name", ["E", "Nq"])
 def test_blocked_evaluation_matches_one_block(monkeypatch, kernel_name):
     # blocks of 97 nodes split the far cells, the subcells and the boundary
-    # between them unevenly
+    # between them unevenly; one einsum over all of a target's nodes, with
+    # the fields sampled one at a time, is the reference for any block size
     block = 97
     model, q = (BALL2, 0) if kernel_name == "E" else (BALL3, 1)
     batch = quad.batch_isotropic_model(model) if q == 0 else batch_nq(model, q)
@@ -368,15 +459,19 @@ def test_blocked_evaluation_matches_one_block(monkeypatch, kernel_name):
         far, _, sub, _ = quad._split_nodes(g, zz)
         nfar = int(np.count_nonzero(far))
         assert nfar % block != 0 and len(sub) > 0 and nfar + len(sub) > block
-    fields = quad._FieldStack([quad.random_test_field(model, q, seed=s) for s in (1, 2)])
+    fields = [quad.random_test_field(model, q, seed=s) for s in range(1, 9)]
+    want = _apply_by_einsum(fields, g, z, batch)
     nodes = g.centers[::3]
     assert len(nodes) > block
     monkeypatch.setattr(quad, "BLOCK_NODES", 10 ** 9)
-    want_out = apply_kernel(None, fields, g, z, q, batch_eval=batch)
     want_k = batch(nodes, z[0])
-    monkeypatch.setattr(quad, "BLOCK_NODES", block)
-    np.testing.assert_allclose(apply_kernel(None, fields, g, z, q, batch_eval=batch),
-                               want_out, rtol=1e-12, atol=0)
+    for size in (10 ** 9, block):
+        monkeypatch.setattr(quad, "BLOCK_NODES", size)
+        np.testing.assert_allclose(
+            apply_kernel(None, quad._FieldStack(fields), g, z, q, batch_eval=batch),
+            want, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(apply_kernel(None, fields[5], g, z, q, batch_eval=batch),
+                                   want[:, 5], rtol=1e-13, atol=0)
     np.testing.assert_array_equal(batch(nodes, z[0]), want_k)
 
 

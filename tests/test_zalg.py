@@ -167,6 +167,19 @@ def test_type_threshold_takes_the_term_of_least_type():
         assert type_threshold([iso], 2, n) == Fraction(1, 2) - Fraction(1, 2 * n)
 
 
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_kernel_types_are_the_descriptors_least_types(n):
+    # the pairing types of the rewrite engine are stated again in KERNEL_TYPE;
+    # they must stay the least types of the kernels' typecalc descriptors
+    for q in range(1, n - 1):
+        nq = [*typecalc.neumann_main_terms(n, q), *typecalc.neumann_ratio_terms(n, q),
+              typecalc.neumann_nu_term(n, q)]
+        tq = typecalc.h_main_terms(n, q)
+        assert zalg.KERNEL_TYPE["Nq"] == min(typecalc.admissible_type(d, n) for d in nq)
+        for name in ("Tq-1", "Tq*"):
+            assert zalg.KERNEL_TYPE[name] == min(typecalc.admissible_type(d, n) for d in tq)
+
+
 def test_transcript_roundtrip():
     data = json.loads(transcript_json("N", 2))
     assert data["match"] is True
