@@ -160,15 +160,14 @@ def norm_values(values: np.ndarray, gammas: np.ndarray, vol: float,
 
 def _split_nodes(grid: Grid, z: np.ndarray):
     """Far cells plus locally 2x-refined subcells near one target, with the
-    diagonal exclusion of subcells within h/2.  Only the near-cell test and
-    the exclusion depend on the target; the rest is cached on the grid."""
+    diagonal exclusion of subcells within h/2: the far-cell mask and the
+    kept subcells.  Only the near-cell test and the exclusion depend on the
+    target; the rest is cached on the grid."""
     h = grid.h
     zr = np.empty(2 * grid.n)
     zr[0::2], zr[1::2] = z.real, z.imag
     inf_dist = np.max(np.abs(grid.reals - zr), axis=1)
     near = inf_dist <= 1.5 * h
-    far = ~near
-    far_vols = np.full(int(np.count_nonzero(far)), grid.cell_volume)
     cells, offs = np.nonzero(grid.subcell_inside[near])
     cells = np.flatnonzero(near)[cells]
     sub = grid.centers[cells] + grid.subcell_offsets[offs]
@@ -177,62 +176,45 @@ def _split_nodes(grid: Grid, z: np.ndarray):
     close = np.flatnonzero(inf_dist[cells] < h)
     keep = np.ones(len(sub), dtype=bool)
     keep[close] = np.linalg.norm(sub[close] - z, axis=1) >= h / 2
-    sub = sub[keep]
-    sub_vol = np.full(len(sub), grid.cell_volume / (2 ** (2 * grid.n)))
-    return far, far_vols, sub, sub_vol
+    return ~near, sub[keep]
 
 
 def apply_kernel(kernel: KernelEvaluator | None, f_func, grid: Grid,
                  targets: np.ndarray, q: int,
                  batch_eval=None) -> np.ndarray:
     """Apply the integral operator of `kernel` to the (0,q) field f_func, at
-    each target point.  f_func.batch(points) returns (points, ncomp), or
-    (points, ..., ncomp) for a stack of fields.  Returns (ntargets, ...,
-    ncomp) output components in the conjugate z basis.  batch_eval returns
-    the packed kernel coefficient array (nodes, ncomp_in, ncomp_out) for
-    fixed z, a fresh array that the contraction conjugates and weights in
-    place; without it, `batch_kernel(kernel, q)`.  The kernel is evaluated
-    once per target, and applied to every field of the stack at once."""
+    each target point.  The field is profiles times constant coefficients:
+    f_func.profiles(points) is (points, m), real or complex, and
+    f_func.coefficients is (..., m, ncomp), with (...) = () for one field
+    and the field axis for a stack.  A field with only f_func.batch(points)
+    -> (points, ncomp) is its ncomp components times identity coefficients.
+    Returns (ntargets, ..., ncomp) output components in the conjugate z
+    basis.  batch_eval returns the packed kernel coefficient array (nodes,
+    ncomp_in, ncomp_out) for fixed z, which is only read; without it,
+    `batch_kernel(kernel, q)`.  The kernel is evaluated once per target.
+    One matrix product of profiles against kernel values gives the moments
+    sum_i conj(p[i, m]) K[i, b, a], for the far cells at once and for the
+    subcells a block of nodes at a time, so that only the kernel array spans
+    all of a target's nodes; the two volumes, the conjugation and the
+    coefficients then act on the small (m, b, a) sums."""
     if batch_eval is None:
         batch_eval = batch_kernel(kernel, q)
-    base_data = f_func.batch(grid.centers)
-    out = np.zeros((len(targets),) + base_data.shape[1:], dtype=complex)
+    profiles = f_func.profiles if hasattr(f_func, "profiles") else f_func.batch
+    base = profiles(grid.centers)
+    coef = getattr(f_func, "coefficients", np.eye(base.shape[1]))
+    out = np.empty((len(targets),) + coef.shape[:-2] + coef.shape[-1:], dtype=complex)
+    sub_vol = grid.cell_volume / 4 ** grid.n
     for ti, z in enumerate(np.asarray(targets, dtype=complex)):
-        far, far_vols, sub, sub_vols = _split_nodes(grid, z)
-        nodes = np.concatenate([grid.centers[far], sub])
-        vols = np.concatenate([far_vols, sub_vols])
-        far_data = base_data[far]
-        # The field is sampled and contracted in blocks of nodes, so the
-        # working arrays have the same size whatever the target's node
-        # count; only the kernel array itself spans all the nodes.
-        K = batch_eval(nodes, z)
-        for lo in range(0, len(nodes), BLOCK_NODES):
-            hi = min(lo + BLOCK_NODES, len(nodes))
-            out[ti] += _contract(_field_rows(f_func, far_data, sub, lo, hi),
-                                 K[lo:hi], vols[lo:hi])
-        del K
+        far, sub = _split_nodes(grid, z)
+        far_rows = base[far]
+        K = batch_eval(np.concatenate([grid.centers[far], sub]), z)
+        k_far, k_sub = np.split(K.reshape(len(K), -1), [len(far_rows)])
+        moments = grid.cell_volume * (far_rows.conj().T @ k_far)
+        for lo in range(0, len(sub), BLOCK_NODES):
+            rows = profiles(sub[lo:lo + BLOCK_NODES])
+            moments += sub_vol * (rows.conj().T @ k_sub[lo:lo + BLOCK_NODES])
+        out[ti] = np.tensordot(coef, moments.conj().reshape(-1, *K.shape[1:]), 2)
     return out
-
-
-def _contract(fdata: np.ndarray, k: np.ndarray, vols: np.ndarray) -> np.ndarray:
-    """sum_i vols[i] fdata[i, ..., b] conj(k[i, b, a]) as one matrix product
-    (fields..., nodes*B) @ (nodes*B, A), for one field or a stack; k is
-    conjugated and weighted in place."""
-    np.conjugate(k, out=k)
-    k *= vols[:, None, None]
-    rows = np.moveaxis(fdata, 0, -2).reshape(*fdata.shape[1:-1], -1)
-    return rows @ k.reshape(-1, k.shape[-1])
-
-
-def _field_rows(f_func, far_data: np.ndarray, sub: np.ndarray,
-                lo: int, hi: int) -> np.ndarray:
-    """Rows lo:hi of the field at the far cells followed by the subcells,
-    sampling only the subcells those rows cover."""
-    nfar = len(far_data)
-    rows = [far_data[lo:hi]]
-    if hi > nfar:
-        rows.append(f_func.batch(sub[max(lo - nfar, 0):hi - nfar]))
-    return np.concatenate(rows)
 
 
 def pair_operator(kernel: KernelEvaluator, f_func, grid: Grid, z: np.ndarray,
@@ -319,24 +301,26 @@ class TestField:
         ncomp = len(anti_keys(n, q))
         self.coef = rng.standard_normal(ncomp) + 1j * rng.standard_normal(ncomp)
         self.lin = rng.standard_normal(2 * n) * 0.5
+        self.coefficients = self.coef[None, :]   # the field is its one profile times coef
+
+    def profiles(self, pts: np.ndarray) -> np.ndarray:
+        return _sample_profiles(np.atleast_2d(pts), [self])
 
     def batch(self, pts: np.ndarray) -> np.ndarray:
-        return _sample_fields(np.atleast_2d(pts), [self])[:, 0]
+        return self.profiles(pts) * self.coef
 
 
-def _sample_fields(pts: np.ndarray, fields) -> np.ndarray:
-    """The test fields at the rows of pts, (points, nfields, ncomp): the
-    Gaussian of |x-c|^2 = |x|^2 - 2 x.c + |c|^2 times 1 + (x-c).lin, with x
-    and c in real coordinates (Re part, then Im part), from one matrix
-    product against the stacked centers and lin."""
+def _sample_profiles(pts: np.ndarray, fields) -> np.ndarray:
+    """The real profiles of the test fields at the rows of pts, (points,
+    nfields): the Gaussian of |x-c|^2 = |x|^2 - 2 x.c + |c|^2 times
+    1 + (x-c).lin, with x and c in real coordinates (Re part, then Im part),
+    from one matrix product against the stacked centers and lin."""
     x = np.concatenate([pts.real, pts.imag], axis=1)
     c = np.array([np.concatenate([f.c.real, f.c.imag]) for f in fields])
     lin = np.array([f.lin for f in fields])
-    coef = np.array([f.coef for f in fields])
     xc, xl = np.hsplit(x @ np.concatenate([c, lin]).T, 2)
     r2 = np.sum(x ** 2, axis=1)[:, None] - 2.0 * xc + np.sum(c ** 2, axis=1)
-    prof = np.exp(-r2 / (2 * FIELD_SCALE ** 2)) * (1.0 + xl - np.sum(c * lin, axis=1))
-    return prof[:, :, None] * coef[None, :, :]
+    return np.exp(-r2 / (2 * FIELD_SCALE ** 2)) * (1.0 + xl - np.sum(c * lin, axis=1))
 
 
 def random_test_field(model: DomainModel, q: int, seed: int) -> TestField:
@@ -347,13 +331,16 @@ def random_test_field(model: DomainModel, q: int, seed: int) -> TestField:
 
 
 class _FieldStack:
-    """Test fields viewed as one: (points, nfields, ncomp)."""
+    """Test fields as one stack, for `apply_kernel`: their profiles
+    (points, nfields) and coefficients (nfields, nfields, ncomp), where field
+    j is profile j times its coef."""
 
     def __init__(self, fields):
         self.fields = fields
+        self.coefficients = np.eye(len(fields))[:, :, None] * [f.coef for f in fields]
 
-    def batch(self, pts: np.ndarray) -> np.ndarray:
-        return _sample_fields(pts, self.fields)
+    def profiles(self, pts: np.ndarray) -> np.ndarray:
+        return _sample_profiles(pts, self.fields)
 
 
 # name -> (batch evaluator of (model, q), degree of its field, descriptors of
@@ -411,10 +398,10 @@ def ratio_table(model: DomainModel, kernel_name: str, q: int,
         h = 2.0 * GRID_BOX / res
         grid = make_grid(model, h, eps=eps)
         tw = grid.total_volume() / len(targets)
-        sampled = _FieldStack(fields).batch(grid.centers)
+        prof = _sample_profiles(grid.centers, fields)
         kept, denoms = [], []
         for trial in range(trials):
-            f = FormField(grid, sampled[:, trial])
+            f = FormField(grid, prof[:, trial, None] * fields[trial].coef)
             denom = weighted_lp_norm(f, b, p) + weighted_lp_norm(f, 0.0, 2)
             if denom >= 1e-14:
                 kept.append(trial)

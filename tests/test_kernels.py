@@ -810,6 +810,30 @@ def test_packed_nq_and_gamma0q_match_the_assembly(name, n):
         assert _max_diff(g.eval(pts[1], z), want) <= 1e-13 * scale
 
 
+@pytest.mark.parametrize("name", ["ball", "pinched"])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_nq_does_not_depend_on_the_tangential_coframe(monkeypatch, name, n):
+    # N_q is a form, so a unitary change of omega^1 .. omega^(n-1), the same
+    # at every point, leaves its coordinate coefficients as they are
+    model = domain.make_domain(name, n)
+    pts, z = _oracle_points(model)
+    pts = np.asarray(pts)
+    want = {q: kernels.nq_rows(model, q)(pts, z) for q in range(1, n - 1)}
+    g = np.random.default_rng(7).standard_normal((n - 1, n - 1, 2))
+    unitary = np.linalg.qr(g[..., 0] + 1j * g[..., 1])[0]
+    frame = domain.DomainModel.frame
+
+    def rotated(self, zeta):
+        rows = frame(self, zeta)
+        return np.concatenate([unitary @ rows[..., :-1, :], rows[..., -1:, :]], axis=-2)
+
+    monkeypatch.setattr(domain.DomainModel, "frame", rotated)
+    assert not np.allclose(model.frame(pts), frame(model, pts))
+    for q, w in want.items():
+        got = kernels.nq_rows(model, q)(pts, z)
+        np.testing.assert_allclose(got, w, rtol=1e-13, atol=1e-13 * np.max(np.abs(w)))
+
+
 def test_nq_bidegree_and_gnq_value():
     nk = kernels.nq(BALL3, 1)
     zeta, z = c(0.97, 0.12, 0.06), c(0.9, 0.1, 0.05)

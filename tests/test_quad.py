@@ -27,14 +27,18 @@ class Constant:
 
 
 class Noise:
-    """Seeded complex normal coefficients, drawn point by point."""
+    """Seeded complex normal coefficients, drawn once per distinct point, in
+    the order the points are first asked for."""
 
     def __init__(self, rng, ncomp):
-        self.rng, self.ncomp = rng, ncomp
+        self.rng, self.ncomp, self.drawn = rng, ncomp, {}
 
     def batch(self, pts):
-        parts = self.rng.standard_normal((len(pts), self.ncomp, 2))
-        return parts[..., 0] + 1j * parts[..., 1]
+        keys = [p.tobytes() for p in np.asarray(pts)]
+        new = [k for k in dict.fromkeys(keys) if k not in self.drawn]
+        parts = self.rng.standard_normal((len(new), self.ncomp, 2))
+        self.drawn.update(zip(new, parts[..., 0] + 1j * parts[..., 1]))
+        return np.array([self.drawn[k] for k in keys]).reshape(len(keys), self.ncomp)
 
 
 def test_grid_deterministic_and_inside():
@@ -239,7 +243,7 @@ def test_pair_operator_is_the_sum_of_pointwise_pairings():
     k = kernels.gamma0q(BALL2, 1)
     f_func = quad.random_test_field(BALL2, 1, seed=6)
     z = np.array([0.1 - 0.05j, 0.2j])
-    far, far_vols, sub, sub_vols = quad._split_nodes(g, z)
+    far, far_vols, sub, sub_vols, _ = _split_nodes_per_target(g, z)
     nodes = np.concatenate([g.centers[far], sub])
     vols = np.concatenate([far_vols, sub_vols])
     want = forms.DoubleForm.zero(2)
@@ -393,16 +397,16 @@ def _split_nodes_per_target(grid, z):
     return far, far_vols, sub_c, sub_vols, dropped
 
 
-def _apply_by_einsum(fields, grid, targets, batch_eval):
-    """apply_kernel as it was: the per-target split, the fields sampled one
-    at a time and one einsum over all of a target's nodes.  (ntargets,
-    nfields, ncomp)."""
+def _apply_by_einsum(sample, grid, targets, batch_eval):
+    """apply_kernel as it was: the per-target split, the field's values
+    sample(points) -> (points, ..., ncomp) and one einsum over all of a
+    target's nodes.  (ntargets, ..., ncomp)."""
     out = []
     for z in targets:
         far, far_vols, sub, sub_vols, _ = _split_nodes_per_target(grid, z)
         nodes = np.concatenate([grid.centers[far], sub])
         vols = np.concatenate([far_vols, sub_vols])
-        out.append(np.einsum("i...b,iba->...a", _sampled_one_by_one(fields, nodes),
+        out.append(np.einsum("i...b,iba->...a", sample(nodes),
                              batch_eval(nodes, z).conj() * vols[:, None, None],
                              optimize=True))
     return np.array(out)
@@ -418,13 +422,15 @@ def _near_the_edge(grid, count):
 @pytest.mark.parametrize("model, q", [(BALL2, 0), (BALL3, 1)], ids=["n2q0", "n3q1"])
 def test_field_stack_is_the_fields_one_by_one(model, q):
     g = make_grid(model, 0.3, eps=0.2)
-    sub = quad._split_nodes(g, _near_the_edge(g, 1)[0])[2]
+    sub = quad._split_nodes(g, _near_the_edge(g, 1)[0])[1]
     pts = np.concatenate([g.centers, sub])
     fields = [quad.random_test_field(model, q, seed=s) for s in range(8)]
     want = _sampled_one_by_one(fields, pts)
     # the affine factor crosses zero, so each field is compared at its own scale
     scale = np.max(np.abs(want), axis=0)
-    assert np.all(np.abs(quad._FieldStack(fields).batch(pts) - want) <= 1e-13 * scale)
+    stack = quad._FieldStack(fields)
+    got = np.einsum("pm,fmb->pfb", stack.profiles(pts), stack.coefficients)
+    assert np.all(np.abs(got - want) <= 1e-13 * scale)
     assert np.all(np.abs(fields[3].batch(pts) - want[:, 3]) <= 1e-13 * scale[3])
 
 
@@ -435,10 +441,9 @@ def test_split_nodes_is_the_per_target_split(model, h, eps):
     g = make_grid(model, h, eps=eps)
     dropped = 0
     for z in _near_the_edge(g, 6):
-        far, far_vols, sub, sub_vols = quad._split_nodes(g, z)
-        want_far, want_far_vols, want_sub, want_sub_vols, out = _split_nodes_per_target(g, z)
-        assert np.array_equal(far, want_far) and np.array_equal(far_vols, want_far_vols)
-        assert np.array_equal(sub, want_sub) and np.array_equal(sub_vols, want_sub_vols)
+        far, sub = quad._split_nodes(g, z)
+        want_far, _, want_sub, _, out = _split_nodes_per_target(g, z)
+        assert np.array_equal(far, want_far) and np.array_equal(sub, want_sub)
         dropped += out
     # the edge targets do meet subcells that r < -eps drops
     assert dropped > 0
@@ -448,7 +453,8 @@ def test_split_nodes_is_the_per_target_split(model, h, eps):
 def test_blocked_evaluation_matches_one_block(monkeypatch, kernel_name):
     # blocks of 97 nodes split the far cells, the subcells and the boundary
     # between them unevenly; one einsum over all of a target's nodes, with
-    # the fields sampled one at a time, is the reference for any block size
+    # the fields sampled one at a time, is the reference for any block size,
+    # for a stack of trial fields and for a complex field with no profiles
     block = 97
     model, q = (BALL2, 0) if kernel_name == "E" else (BALL3, 1)
     batch = quad.batch_isotropic_model(model) if q == 0 else batch_nq(model, q)
@@ -456,23 +462,39 @@ def test_blocked_evaluation_matches_one_block(monkeypatch, kernel_name):
     z = np.array([[0.05, -0.1j] + [0.0] * (model.n - 2),
                   [0.2j, 0.1] + [0.0] * (model.n - 2)], dtype=complex)
     for zz in z:
-        far, _, sub, _ = quad._split_nodes(g, zz)
+        far, sub = quad._split_nodes(g, zz)
         nfar = int(np.count_nonzero(far))
-        assert nfar % block != 0 and len(sub) > 0 and nfar + len(sub) > block
+        assert nfar % block != 0 and len(sub) > block
+    evaluated = {}
+
+    def once(nodes, zz):
+        # each target's kernel array is evaluated once and handed to every
+        # contraction below, which must only read it
+        key = (nodes.tobytes(), zz.tobytes())
+        if key not in evaluated:
+            K = batch(nodes, zz)
+            evaluated[key] = (K, K.copy())
+        return evaluated[key][0]
+
     fields = [quad.random_test_field(model, q, seed=s) for s in range(1, 9)]
-    want = _apply_by_einsum(fields, g, z, batch)
+    want = _apply_by_einsum(lambda pts: _sampled_one_by_one(fields, pts), g, z, once)
+    noise = Noise(np.random.default_rng(2), len(anti_keys(model.n, q)))
+    want_noise = _apply_by_einsum(noise.batch, g, z, once)
     nodes = g.centers[::3]
     assert len(nodes) > block
-    monkeypatch.setattr(quad, "BLOCK_NODES", 10 ** 9)
     want_k = batch(nodes, z[0])
-    for size in (10 ** 9, block):
+    for size in (quad.BLOCK_NODES, block):
         monkeypatch.setattr(quad, "BLOCK_NODES", size)
         np.testing.assert_allclose(
-            apply_kernel(None, quad._FieldStack(fields), g, z, q, batch_eval=batch),
+            apply_kernel(None, quad._FieldStack(fields), g, z, q, batch_eval=once),
             want, rtol=1e-13, atol=0)
-        np.testing.assert_allclose(apply_kernel(None, fields[5], g, z, q, batch_eval=batch),
+        np.testing.assert_allclose(apply_kernel(None, fields[5], g, z, q, batch_eval=once),
                                    want[:, 5], rtol=1e-13, atol=0)
-    np.testing.assert_array_equal(batch(nodes, z[0]), want_k)
+        np.testing.assert_allclose(apply_kernel(None, noise, g, z, q, batch_eval=once),
+                                   want_noise, rtol=1e-13, atol=0)
+        np.testing.assert_array_equal(batch(nodes, z[0]), want_k)
+    assert len(evaluated) == len(z)
+    assert all(np.array_equal(k, k0) for k, k0 in evaluated.values())
 
 
 def test_ratio_table_unknown_kernel():
