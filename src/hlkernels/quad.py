@@ -50,15 +50,6 @@ class Grid:
         return gam
 
     @cached_property
-    def reals(self) -> np.ndarray:
-        """(ncells, 2n) real coordinates of the centers, Re z_1, Im z_1, ...
-        (read-only)."""
-        reals = np.empty((len(self), 2 * self.n))
-        reals[:, 0::2], reals[:, 1::2] = self.centers.real, self.centers.imag
-        reals.flags.writeable = False
-        return reals
-
-    @cached_property
     def subcell_offsets(self) -> np.ndarray:
         """(2^(2n), n) complex offsets of the 2x-refined subcell midpoints
         from their cell's center (read-only)."""
@@ -147,11 +138,11 @@ def norm_values(values: np.ndarray, gammas: np.ndarray, vol: float,
                 a: float, p: float) -> float:
     """(sum |gamma^a values|^p vol)^(1/p) of sampled pointwise norms, each
     sample carrying the volume vol; p=inf max."""
+    if not p >= 1:                           # also rejects NaN
+        raise QuadError("p must be >= 1")
     w = gammas ** a * values
     if p == np.inf:
         return float(np.max(w))
-    if p < 1:
-        raise QuadError("p must be >= 1")
     return float((np.sum(w ** p) * vol) ** (1.0 / p))
 
 
@@ -164,9 +155,8 @@ def _split_nodes(grid: Grid, z: np.ndarray):
     kept subcells.  Only the near-cell test and the exclusion depend on the
     target; the rest is cached on the grid."""
     h = grid.h
-    zr = np.empty(2 * grid.n)
-    zr[0::2], zr[1::2] = z.real, z.imag
-    inf_dist = np.max(np.abs(grid.reals - zr), axis=1)
+    reals = np.asarray(grid.centers, dtype=complex).view(float)  # Re z_1, Im z_1, ...
+    inf_dist = np.max(np.abs(reals - z.view(float)), axis=1)
     near = inf_dist <= 1.5 * h
     cells, offs = np.nonzero(grid.subcell_inside[near])
     cells = np.flatnonzero(near)[cells]
@@ -375,8 +365,11 @@ def ratio_table(model: DomainModel, kernel_name: str, q: int,
     ||gamma^a K f||_(L^s, targets) / (||gamma^b f||_(L^p) + ||f||_(L^2)).
     Targets are drawn once and the exhaustion parameter is pinned to the
     coarsest grid, so the ratios compare like for like across refinements.
-    s is admissible when 1/s (s to 3 decimals) exceeds the kernel's threshold.
+    s is admissible when 1/s (s as a fraction with denominator at most 1000)
+    exceeds the kernel's threshold.
     """
+    if kernel_name not in RATIO_KERNELS:
+        raise QuadError(f"no vectorized kernel {kernel_name!r}")
     n = model.n
     cand = np.random.default_rng(seed).uniform(-0.45, 0.45, (TARGET_DRAWS, 2 * n))
     cand = cand[:, 0::2] + 1j * cand[:, 1::2]
@@ -384,25 +377,26 @@ def ratio_table(model: DomainModel, kernel_name: str, q: int,
     if len(targets) < n_targets:
         raise QuadError(f"{model.name}: fewer than {n_targets} targets with r < -0.3 "
                         f"in {TARGET_DRAWS} draws from the box |Re|, |Im| < 0.45")
-    if kernel_name not in RATIO_KERNELS:
-        raise QuadError(f"no vectorized kernel {kernel_name!r}")
     build, degree, descriptors = RATIO_KERNELS[kernel_name]
     batch, kq = build(model, q), degree(q)
     if eps is None:
         eps = 2.0 * (2.0 * GRID_BOX / min(resolutions))
     fields = [random_test_field(model, kq, seed=seed + 100 * trial)
               for trial in range(trials)]
+    coefs = np.array([f.coef for f in fields])
     gam_t = model.gamma(targets)
     rows: list[RatioRow] = []
+    summary = {}
     for res in resolutions:
         h = 2.0 * GRID_BOX / res
         grid = make_grid(model, h, eps=eps)
         tw = grid.total_volume() / len(targets)
         prof = _sample_profiles(grid.centers, fields)
+        pointwise = np.sqrt(np.sum(np.abs(prof[:, :, None] * coefs) ** 2, axis=2))
         kept, denoms = [], []
-        for trial in range(trials):
-            f = FormField(grid, prof[:, trial, None] * fields[trial].coef)
-            denom = weighted_lp_norm(f, b, p) + weighted_lp_norm(f, 0.0, 2)
+        for trial, vals in enumerate(pointwise.T):
+            denom = (norm_values(vals, grid.gamma_values, grid.cell_volume, b, p)
+                     + norm_values(vals, grid.gamma_values, grid.cell_volume, 0.0, 2))
             if denom >= 1e-14:
                 kept.append(trial)
                 denoms.append(denom)
@@ -412,19 +406,16 @@ def ratio_table(model: DomainModel, kernel_name: str, q: int,
         out = apply_kernel(None, _FieldStack([fields[t] for t in kept]), grid, targets,
                            kq, batch_eval=batch)
         vals = np.sqrt(np.sum(np.abs(out) ** 2, axis=2))
-        for j, trial in enumerate(kept):
-            num = norm_values(vals[:, j], gam_t, tw, a, s)
-            rows.append(RatioRow(res, p, s, a, b, trial, num / denoms[j]))
-    by_res = {}
-    for r in rows:
-        by_res.setdefault(r.resolution, []).append(r.ratio)
-    summary = {res: max(v) for res, v in sorted(by_res.items())}
+        ratios = [norm_values(vals[:, j], gam_t, tw, a, s) / denoms[j]
+                  for j in range(len(kept))]
+        rows += [RatioRow(res, p, s, a, b, t, r) for t, r in zip(kept, ratios)]
+        summary[res] = max(ratios)
     from . import typecalc, zalg     # only the threshold needs them
     inv_s = 0 if s == np.inf else 1 / Fraction(s).limit_denominator(1000)
     meta = {"kernel": kernel_name, "domain": model.name, "n": n, "q": q,
             "p": p, "s": s, "a": a, "b": b, "seed": seed,
             "admissible": inv_s > zalg.type_threshold(descriptors(typecalc, n, q), p, n),
-            "max_ratio_by_resolution": summary}
+            "max_ratio_by_resolution": dict(sorted(summary.items()))}
     return {"rows": rows, "meta": meta}
 
 
@@ -432,16 +423,22 @@ def ratio_table(model: DomainModel, kernel_name: str, q: int,
 
 
 def _field_forms(model: DomainModel, seed: int, q: int):
-    """Compactly supported smooth (0,q) field with exact first derivatives."""
+    """Compactly supported smooth (0,q) field b(zeta) F with exact first
+    derivatives: the constant form F, the fixed forms dzetabar_k ^ F and
+    -*(dzeta_k ^ *F), and the bump's parts(zeta) = (b, db/dzeta_k,
+    db/dzetabar_k).  The field's dbar is sum_k db/dzetabar_k dzetabar_k ^ F,
+    and its vartheta = -*d*, as `kernels.kernel_vartheta_zeta` assembles
+    it, is sum_k db/dzeta_k (-*(dzeta_k ^ *F))."""
     rng = np.random.default_rng(seed)
     n = model.n
     keys = anti_keys(n, q)
     coef = rng.standard_normal(len(keys)) + 1j * rng.standard_normal(len(keys))
     R = 0.75
-
-    def form(c) -> DoubleForm:
-        """c times the field's constant coefficients."""
-        return DoubleForm(n, {((), k, (), ()): coef[j] * c for j, k in enumerate(keys)})
+    F = DoubleForm(n, {((), k, (), ()): c for k, c in zip(keys, coef)})
+    star_f = forms.hodge_star(F, "zeta")
+    dbar_f = [forms.wedge(DoubleForm.monomial(n, az=(k,)), F) for k in range(1, n + 1)]
+    vartheta_f = [forms.hodge_star(forms.wedge(DoubleForm.monomial(n, hz=(k,)), star_f),
+                                   "zeta").scale(-1.0) for k in range(1, n + 1)]
 
     def parts(zeta):
         zeta = np.asarray(zeta, dtype=complex)
@@ -449,46 +446,37 @@ def _field_forms(model: DomainModel, seed: int, q: int):
         if u >= 1.0:
             return 0.0, np.zeros(n, dtype=complex), np.zeros(n, dtype=complex)
         amp = np.exp(-1.0 / (1.0 - u) + 1.0)
-        du_dz = zeta.conj() / R ** 2
-        du_dzb = zeta / R ** 2
-        return amp, -amp / (1.0 - u) ** 2 * du_dz, -amp / (1.0 - u) ** 2 * du_dzb
+        damp_du = -amp / (1.0 - u) ** 2
+        return amp, damp_du * (zeta.conj() / R ** 2), damp_du * (zeta / R ** 2)
 
-    def value(zeta) -> DoubleForm:
-        return form(parts(zeta)[0])
+    return F, dbar_f, vartheta_f, parts
 
-    def dbar(zeta) -> DoubleForm:
-        return forms.differential(n, "az", [form(c) for c in parts(zeta)[2]])
 
-    def vartheta(zeta) -> DoubleForm:
-        """-*d*, as `kernels.kernel_vartheta_zeta` assembles it."""
-        dsv = forms.differential(n, "hz", [forms.hodge_star(form(c), "zeta")
-                                           for c in parts(zeta)[1]])
-        return forms.hodge_star(dsv, "zeta").scale(-1.0)
-
-    return value, dbar, vartheta
+def _combination(fixed: list[DoubleForm], weights) -> DoubleForm:
+    """sum_k weights[k] fixed[k], summed in k order."""
+    out = DoubleForm.zero(fixed[0].n)
+    for f, w in zip(fixed, weights):
+        out = out + f.scale(w)
+    return out
 
 
 def adjointness_residual(model: DomainModel, h: float, seed: int = 5) -> float:
     """|<dbar u, v> - <u, vartheta v>| / (||u|| ||v||) on one grid."""
     grid = make_grid(model, h)
-    u_val, u_dbar, _ = _field_forms(model, seed, 0)
-    v_val, _, v_vth = _field_forms(model, seed + 1, 1)
-    ip1 = 0.0 + 0.0j
-    ip2 = 0.0 + 0.0j
-    nu = 0.0
-    nv = 0.0
+    u, u_dbar, _, u_parts = _field_forms(model, seed, 0)
+    v, _, v_vartheta, v_parts = _field_forms(model, seed + 1, 1)
+    ip1 = ip2 = 0.0 + 0.0j
+    nu = nv = 0.0
     for c in grid.centers:
-        du = u_dbar(c)
-        vv = v_val(c)
-        uu = u_val(c)
-        tv = v_vth(c)
-        ip1 += forms.inner(du, vv)
-        ip2 += forms.inner(uu, tv)
+        u_amp, _, u_dzb = u_parts(c)
+        v_amp, v_dz, _ = v_parts(c)
+        uu, vv = u.scale(u_amp), v.scale(v_amp)
+        ip1 += forms.inner(_combination(u_dbar, u_dzb), vv)
+        ip2 += forms.inner(uu, _combination(v_vartheta, v_dz))
         nu += uu.norm() ** 2
         nv += vv.norm() ** 2
     vol = grid.cell_volume
-    nu = np.sqrt(nu * vol)
-    nv = np.sqrt(nv * vol)
+    nu, nv = np.sqrt(nu * vol), np.sqrt(nv * vol)
     if nu * nv == 0:
         raise QuadError("degenerate test fields")
     return float(abs(ip1 - ip2) * vol / (nu * nv))

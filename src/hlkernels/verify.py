@@ -452,9 +452,8 @@ def suite_lp_morse(model: DomainModel, n: int, q: int, seed: int,
             + model.rho2(zeta, z)
         ratios_i.append(resid_i / env_i)
         # third identity: gamma gamma* (2P - sum |L_j rho2|^2) vs 4|Phi|^2
-        V = model.dual_frame(zeta)
-        db = model.dbar_zeta_rho2(zeta, z)
-        lsum = sum(abs(np.conj(V[:, j]) @ db) ** 2 for j in range(n - 1))
+        lbar = kernels.lbar_rho2(model, zeta, z, model.dual_frame(zeta))[:n - 1]
+        lsum = sum(abs(x) ** 2 for x in lbar)
         lhs = g * gs * (2 * model.big_p(zeta, z) - lsum)
         resid_iii = abs(lhs - 4 * abs(model.phi(zeta, z)) ** 2)
         rho = np.sqrt(model.rho2(zeta, z))

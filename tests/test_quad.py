@@ -190,6 +190,16 @@ def test_adjointness_residual_near_machine_zero():
     assert res < 1e-12
 
 
+@pytest.mark.parametrize("model, h", [(BALL2, 1 / 5), (BALL2, 1 / 8), (BALL3, 1 / 3)],
+                         ids=["ball2-h5", "ball2-h8", "ball3-h3"])
+@pytest.mark.parametrize("seed", [5, 0])
+def test_adjointness_residual_is_the_per_point_assembly(model, h, seed):
+    # the bump times fixed forms gives the residual of the per-point
+    # assembly through forms.differential and hodge_star, bit for bit
+    assert quad.adjointness_residual(model, h, seed=seed) == \
+        _adjointness_residual_per_point(model, h, seed)
+
+
 def _max_coeff_diff(f, g):
     return max((abs(f.component(k) - g.component(k)) for k in f.coeffs.keys() | g.coeffs.keys()),
                default=0.0)
@@ -201,7 +211,17 @@ def _max_coeff_diff(f, g):
 def test_certificate_operators_are_the_kernel_operators(model, q):
     # the certificate's exact dbar and vartheta of a field against the
     # kernels' finite-difference operators on K(zeta, z) = field(zeta)
-    value, dbar, vartheta = quad._field_forms(model, seed=3, q=q)
+    F, dbar_forms, vartheta_forms, parts = quad._field_forms(model, seed=3, q=q)
+
+    def value(zeta):
+        return F.scale(parts(zeta)[0])
+
+    def dbar(zeta):
+        return quad._combination(dbar_forms, parts(zeta)[2])
+
+    def vartheta(zeta):
+        return quad._combination(vartheta_forms, parts(zeta)[1])
+
     k = kernels.KernelEvaluator("field", model.n, lambda zeta, z: value(zeta))
     k_dbar = kernels.kernel_derivative(k, "dbar", "zeta")
     k_vartheta = kernels.kernel_vartheta_zeta(k)
@@ -362,6 +382,61 @@ def test_make_grid_matches_dense_lattice():
 # -- the slow paths that the fast ones replace, kept as oracles ----------------
 
 
+def _field_forms_per_point(model, seed, q):
+    """The certificate's field as it was assembled before its constant forms
+    were built once: value, dbar and vartheta closures that build the value
+    form, forms.differential and hodge_star at each point."""
+    rng = np.random.default_rng(seed)
+    n = model.n
+    keys = anti_keys(n, q)
+    coef = rng.standard_normal(len(keys)) + 1j * rng.standard_normal(len(keys))
+    R = 0.75
+
+    def form(c):
+        return forms.DoubleForm(n, {((), k, (), ()): coef[j] * c for j, k in enumerate(keys)})
+
+    def parts(zeta):
+        zeta = np.asarray(zeta, dtype=complex)
+        u = float(np.sum(np.abs(zeta) ** 2)) / R ** 2
+        if u >= 1.0:
+            return 0.0, np.zeros(n, dtype=complex), np.zeros(n, dtype=complex)
+        amp = np.exp(-1.0 / (1.0 - u) + 1.0)
+        du_dz = zeta.conj() / R ** 2
+        du_dzb = zeta / R ** 2
+        return amp, -amp / (1.0 - u) ** 2 * du_dz, -amp / (1.0 - u) ** 2 * du_dzb
+
+    def value(zeta):
+        return form(parts(zeta)[0])
+
+    def dbar(zeta):
+        return forms.differential(n, "az", [form(c) for c in parts(zeta)[2]])
+
+    def vartheta(zeta):
+        dsv = forms.differential(n, "hz", [forms.hodge_star(form(c), "zeta")
+                                           for c in parts(zeta)[1]])
+        return forms.hodge_star(dsv, "zeta").scale(-1.0)
+
+    return value, dbar, vartheta
+
+
+def _adjointness_residual_per_point(model, h, seed):
+    """adjointness_residual over the per-point assembly above."""
+    grid = make_grid(model, h)
+    u_val, u_dbar, _ = _field_forms_per_point(model, seed, 0)
+    v_val, _, v_vth = _field_forms_per_point(model, seed + 1, 1)
+    ip1 = ip2 = 0.0 + 0.0j
+    nu = nv = 0.0
+    for c in grid.centers:
+        du, vv, uu, tv = u_dbar(c), v_val(c), u_val(c), v_vth(c)
+        ip1 += forms.inner(du, vv)
+        ip2 += forms.inner(uu, tv)
+        nu += uu.norm() ** 2
+        nv += vv.norm() ** 2
+    vol = grid.cell_volume
+    nu, nv = np.sqrt(nu * vol), np.sqrt(nv * vol)
+    return float(abs(ip1 - ip2) * vol / (nu * nv))
+
+
 def _sampled_one_by_one(fields, pts):
     """The test fields sampled one at a time from d = x - c, as TestField.batch
     did before one formula sampled the whole stack: (points, nfields, ncomp)."""
@@ -500,6 +575,23 @@ def test_blocked_evaluation_matches_one_block(monkeypatch, kernel_name):
 def test_ratio_table_unknown_kernel():
     with pytest.raises(QuadError, match="no vectorized kernel 'X'"):
         ratio_table(BALL2, "X", 0, a=0, b=0, p=2, s=3.5, trials=1, resolutions=[8])
+
+
+@pytest.mark.parametrize("model", [domain.pinched(3), BALL3], ids=["pinched3", "ball3"])
+def test_ratio_table_checks_the_kernel_name_before_drawing_targets(model):
+    # pinched(3) has fewer than 32 targets in the draws; the name is still
+    # what is reported
+    with pytest.raises(QuadError, match="no vectorized kernel 'Xq'"):
+        ratio_table(model, "Xq", 1, a=0, b=0, p=2, s=3.5, trials=1, resolutions=[8])
+
+
+def test_norms_reject_nan_p():
+    with pytest.raises(QuadError, match="p must be >= 1"):
+        quad.norm_values(np.ones(3), np.ones(3), 1.0, 0.0, float("nan"))
+    f = field_from_function(make_grid(BALL2, 0.3), Constant(1.0))
+    with pytest.raises(QuadError, match="p must be >= 1"):
+        weighted_lp_norm(f, 0, float("nan"))
+    assert quad.norm_values(np.ones(3), np.ones(3), 1.0, 0.0, np.inf) == 1.0
 
 
 @pytest.mark.parametrize("p, s, admissible", [
