@@ -81,6 +81,8 @@ def cmd_suite(args) -> int:
              else sorted(verify.SUITES))
     for name in names:
         verify.check_suite_args(name, cfg["n"], cfg["q"])
+    if args.tmax < args.tmin:
+        raise ValueError(f"--tmax {args.tmax} is below --tmin {args.tmin}: the t-grid is empty")
     t_grid = tuple(2.0 ** (-k) for k in range(args.tmin, args.tmax + 1))
     out = _outdir(cfg)
     all_pass = True

@@ -146,6 +146,15 @@ def test_suite_that_fails_to_fit_exits_1(tmp_path, capsys):
     assert err == "error: suite nkern: fewer than five positive samples\n"
 
 
+def test_suite_empty_t_grid_is_a_usage_error(tmp_path, capsys):
+    # --tmax below --tmin leaves no t-grid; no suite runs on it
+    code = run(["suite", "--domain", "pinched", "--n", "2", "--suites", "phibound",
+                "--tmin", "5", "--tmax", "3", "--out", str(tmp_path / "o")])
+    err = _one_line_usage_error(code, capsys)
+    assert "--tmin" in err and "--tmax" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_suite_q_out_of_range(tmp_path, capsys):
     code = run(["suite", "--n", "3", "--q", "5", "--suites", "lemmalq",
                 "--out", str(tmp_path / "o")])

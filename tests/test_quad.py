@@ -190,14 +190,58 @@ def test_adjointness_residual_near_machine_zero():
     assert res < 1e-12
 
 
-@pytest.mark.parametrize("model, h", [(BALL2, 1 / 5), (BALL2, 1 / 8), (BALL3, 1 / 3)],
-                         ids=["ball2-h5", "ball2-h8", "ball3-h3"])
+@pytest.mark.parametrize("model, h", [(BALL2, 1 / 5), (BALL2, 1 / 8), (BALL3, 1 / 3),
+                                      (domain.pinched(2), 1 / 8)],
+                         ids=["ball2-h5", "ball2-h8", "ball3-h3", "pinched2-h8"])
 @pytest.mark.parametrize("seed", [5, 0])
 def test_adjointness_residual_is_the_per_point_assembly(model, h, seed):
     # the bump times fixed forms gives the residual of the per-point
     # assembly through forms.differential and hodge_star, bit for bit
     assert quad.adjointness_residual(model, h, seed=seed) == \
         _adjointness_residual_per_point(model, h, seed)
+
+
+@pytest.mark.parametrize("model", [BALL2, BALL3], ids=["ball2", "ball3"])
+def test_bump_parts_on_rows_are_the_per_point_parts(model):
+    # rows inside the support, outside it, and on |zeta| = 0.75 (amplitude 0)
+    n = model.n
+    rng = np.random.default_rng(7)
+    rows = rng.uniform(-0.8, 0.8, (64, n)) + 1j * rng.uniform(-0.8, 0.8, (64, n))
+    rows = np.concatenate([rows, 0.75 * np.eye(n), -0.75j * np.eye(n)])
+    parts = quad._field_forms(model, seed=3, q=1)[3]
+    want = [_bump_parts_per_point(z) for z in rows]
+    assert {w[0] > 0 for w in want} == {True, False}
+    assert all(want[-k][0] == 0.0 for k in range(1, 2 * n + 1))
+    for got, col in zip(parts(rows), zip(*want)):
+        assert got.tobytes() == np.array(col).tobytes()
+    # at one point: the amplitude and two (n,) vectors, as before
+    for z in (rows[0], 0.75 * np.eye(n)[0], np.full(n, 0.1 + 0.1j)):
+        amp, dz, dzb = parts(z)
+        want = _bump_parts_per_point(z)
+        assert np.ndim(amp) == 0 and dz.shape == dzb.shape == (n,)
+        assert amp == want[0] and np.array_equal(dz, want[1]) and np.array_equal(dzb, want[2])
+
+
+def test_adjointness_residual_visits_only_the_support(monkeypatch):
+    # two inner products per cell where a bump is nonzero, none elsewhere
+    calls = []
+    inner = forms.inner
+
+    def counted(f, g):
+        calls.append(1)
+        return inner(f, g)
+
+    monkeypatch.setattr(forms, "inner", counted)
+    quad.adjointness_residual(BALL2, 1.0 / 8)
+    support = np.count_nonzero(quad._field_forms(BALL2, 5, 0)[3](
+        make_grid(BALL2, 1.0 / 8).centers)[0])
+    assert len(calls) == 2 * support == 12_960
+
+
+def test_adjointness_residual_without_support_cells_is_degenerate():
+    # no cell of pinched(2) at h = 1/6 lies in the bumps' support |zeta| < 0.75
+    with pytest.raises(QuadError, match="degenerate test fields"):
+        quad.adjointness_residual(domain.pinched(2), 1.0 / 6)
 
 
 def _max_coeff_diff(f, g):
@@ -382,6 +426,21 @@ def test_make_grid_matches_dense_lattice():
 # -- the slow paths that the fast ones replace, kept as oracles ----------------
 
 
+def _bump_parts_per_point(zeta):
+    """The bump's (b, db/dzeta_k, db/dzetabar_k) at one point, as the
+    certificate computed it one cell at a time."""
+    zeta = np.asarray(zeta, dtype=complex)
+    n = len(zeta)
+    R = 0.75
+    u = float(np.sum(np.abs(zeta) ** 2)) / R ** 2
+    if u >= 1.0:
+        return 0.0, np.zeros(n, dtype=complex), np.zeros(n, dtype=complex)
+    amp = np.exp(-1.0 / (1.0 - u) + 1.0)
+    du_dz = zeta.conj() / R ** 2
+    du_dzb = zeta / R ** 2
+    return amp, -amp / (1.0 - u) ** 2 * du_dz, -amp / (1.0 - u) ** 2 * du_dzb
+
+
 def _field_forms_per_point(model, seed, q):
     """The certificate's field as it was assembled before its constant forms
     were built once: value, dbar and vartheta closures that build the value
@@ -390,20 +449,11 @@ def _field_forms_per_point(model, seed, q):
     n = model.n
     keys = anti_keys(n, q)
     coef = rng.standard_normal(len(keys)) + 1j * rng.standard_normal(len(keys))
-    R = 0.75
 
     def form(c):
         return forms.DoubleForm(n, {((), k, (), ()): coef[j] * c for j, k in enumerate(keys)})
 
-    def parts(zeta):
-        zeta = np.asarray(zeta, dtype=complex)
-        u = float(np.sum(np.abs(zeta) ** 2)) / R ** 2
-        if u >= 1.0:
-            return 0.0, np.zeros(n, dtype=complex), np.zeros(n, dtype=complex)
-        amp = np.exp(-1.0 / (1.0 - u) + 1.0)
-        du_dz = zeta.conj() / R ** 2
-        du_dzb = zeta / R ** 2
-        return amp, -amp / (1.0 - u) ** 2 * du_dz, -amp / (1.0 - u) ** 2 * du_dzb
+    parts = _bump_parts_per_point
 
     def value(zeta):
         return form(parts(zeta)[0])
