@@ -22,43 +22,52 @@ EXIT_USAGE = 2
 
 DOMAINS = ("ball", "pinched")
 DERIVE_PARTS = {"mainint": ("i", "ii", "iii"), "intmain": ("N", "dbarN", "dbarstarN")}
-# Type of each configuration value; an int is accepted where a float is.
-CONFIG_TYPES = {"domain": str, "n": int, "q": int, "seed": int,
-                "eps": float, "delta": float, "out": str}
-
-
-def _check_config_types(cfg: dict) -> None:
-    for key, want in CONFIG_TYPES.items():
-        if key not in cfg:
-            continue
-        val = cfg[key]
-        accepted = (int, float) if want is float else want
-        if isinstance(val, bool) or not isinstance(val, accepted):
-            raise ValueError(f"config {key!r} must be {want.__name__}, got {val!r}")
-    if cfg["domain"].lower() not in DOMAINS:
-        raise ValueError(f"unknown domain {cfg['domain']!r}; have {list(DOMAINS)}")
+# Each setting's type, default (None: the callee picks one) and help; an int
+# is accepted where a float is.  Flags, then defaults, enter a report's
+# `config` in this order.
+SETTINGS = {"domain": (str, "ball", "model domain"),
+            "n": (int, 3, "complex dimension, >= 2"),
+            "q": (int, 1, "form degree"),
+            "seed": (int, 0, "seed of base points, targets and trial fields"),
+            "eps": (float, None, "interior exhaustion parameter of the grids "
+                                 "(default twice the coarsest step)"),
+            "delta": (float, 0.15, "patching radius"),
+            "out": (str, "out", "output directory")}
+# The settings each subcommand reads: its only setting flags and config keys.
+TAKES = {"list-suites": (), "suite": ("domain", "n", "q", "seed", "delta", "out"),
+         "eval": ("domain", "n", "q", "delta", "out"),
+         "derive": ("out",),
+         "ratio": ("domain", "n", "q", "seed", "eps", "out")}
 
 
 def _load_config(args) -> dict:
+    """The settings of args.command: the config file's, then the flags', then
+    the defaults.  A config key the subcommand does not read is a usage error."""
+    takes = TAKES[args.command]
     cfg = {}
     if args.config:
         cfg = json.loads(Path(args.config).read_text())
         if not isinstance(cfg, dict):
             raise ValueError("config file must hold a JSON object")
-    for key in CONFIG_TYPES:
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
-    cfg.setdefault("domain", "ball")
-    cfg.setdefault("n", 3)
-    cfg.setdefault("q", 1)
-    cfg.setdefault("seed", 0)
-    cfg.setdefault("delta", 0.15)
-    cfg.setdefault("out", "out")
-    _check_config_types(cfg)
-    if cfg["n"] < 2:
+        for key in cfg:
+            if key not in takes:
+                raise ValueError(f"config key {key!r} is not a setting of {args.command}, "
+                                 f"which takes {', '.join(takes)}")
+    for key in takes:
+        if getattr(args, key) is not None:
+            cfg[key] = getattr(args, key)
+    for key in takes:
+        want, default, _ = SETTINGS[key]
+        if default is not None:
+            cfg.setdefault(key, default)
+        accepted = (int, float) if want is float else want
+        if key in cfg and (isinstance(cfg[key], bool) or not isinstance(cfg[key], accepted)):
+            raise ValueError(f"config {key!r} must be {want.__name__}, got {cfg[key]!r}")
+    if "domain" in cfg and cfg["domain"].lower() not in DOMAINS:
+        raise ValueError(f"unknown domain {cfg['domain']!r}; have {list(DOMAINS)}")
+    if "n" in cfg and cfg["n"] < 2:
         raise ValueError("n must be >= 2")
-    if not 0 < cfg["delta"] < np.inf:
+    if "delta" in cfg and not 0 < cfg["delta"] < np.inf:
         raise ValueError(f"delta must be positive and finite, got {cfg['delta']}")
     return cfg
 
@@ -175,7 +184,7 @@ def cmd_ratio(args) -> int:
     if bad:
         raise ValueError("ratio needs p, s, trials and every resolution >= 1, and p, s, a, b "
                          f"finite; got {', '.join(bad)}")
-    model = make_domain(cfg["domain"], cfg["n"], delta=cfg["delta"])
+    model = make_domain(cfg["domain"], cfg["n"])     # neither E nor N_q reads delta
     rep = quad.ratio_table(model, args.kernel, cfg["q"], a=args.a, b=args.b,
                            p=args.p, s=args.s, trials=args.trials,
                            resolutions=resolutions, seed=cfg["seed"], eps=cfg.get("eps"))
@@ -200,42 +209,33 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--config", help="JSON config file; flags override")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--domain", choices=DOMAINS)
-        p.add_argument("--n", type=int)
-        p.add_argument("--q", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--eps", type=float, help="interior exhaustion parameter")
-        p.add_argument("--delta", type=float)
-        p.add_argument("--out")
+    def command(name, func, about):
+        p = sub.add_parser(name, help=about)
+        p.set_defaults(func=func)
+        for key in TAKES[name]:
+            want, _, text = SETTINGS[key]
+            p.add_argument(f"--{key}", type=want, help=text,
+                           choices=DOMAINS if key == "domain" else None)
+        return p
 
-    p = sub.add_parser("list-suites", help="print the suite registry")
-    p.set_defaults(func=cmd_list_suites)
-
-    p = sub.add_parser("suite", help="run verification suites")
-    common(p)
+    command("list-suites", cmd_list_suites, "print the suite registry")
+    p = command("suite", cmd_suite, "run verification suites")
     p.add_argument("--suites", help="comma-separated suite names (default all)")
     p.add_argument("--tmin", type=int, default=3, help="t-grid from 2^-tmin")
     p.add_argument("--tmax", type=int, default=10, help="t-grid to 2^-tmax")
-    p.set_defaults(func=cmd_suite)
 
-    p = sub.add_parser("eval", help="evaluate a kernel on a CSV point list")
-    common(p)
+    p = command("eval", cmd_eval, "evaluate a kernel on a CSV point list")
     p.add_argument("--kernel", required=True)
     p.add_argument("--points", required=True,
                    help="CSV rows: re/im of zeta then of z (4n numbers)")
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("derive", help="symbolic derivation transcript")
-    common(p)
+    p = command("derive", cmd_derive, "symbolic derivation transcript")
     p.add_argument("--kind", choices=list(DERIVE_PARTS), required=True)
     p.add_argument("--part", required=True, help="; ".join(
         f"{kind}: {'|'.join(parts)}" for kind, parts in DERIVE_PARTS.items()))
     p.add_argument("--j", type=int, required=True)
-    p.set_defaults(func=cmd_derive)
 
-    p = sub.add_parser("ratio", help="mapping-ratio table")
-    common(p)
+    p = command("ratio", cmd_ratio, "mapping-ratio table")
     p.add_argument("--kernel", choices=list(quad.RATIO_KERNELS), required=True)
     p.add_argument("--p", type=float, default=2.0)
     p.add_argument("--s", type=float, default=3.5)
@@ -243,7 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=float, default=0.0)
     p.add_argument("--trials", type=int, default=8)
     p.add_argument("--resolutions", default="8,10,12")
-    p.set_defaults(func=cmd_ratio)
     return ap
 
 

@@ -413,7 +413,7 @@ def ratio_table(model: DomainModel, kernel_name: str, q: int,
     from . import typecalc, zalg     # only the threshold needs them
     inv_s = 0 if s == np.inf else 1 / Fraction(s).limit_denominator(1000)
     meta = {"kernel": kernel_name, "domain": model.name, "n": n, "q": q,
-            "p": p, "s": s, "a": a, "b": b, "seed": seed,
+            "p": p, "s": s, "a": a, "b": b, "seed": seed, "eps": eps,
             "admissible": inv_s > zalg.type_threshold(descriptors(typecalc, n, q), p, n),
             "max_ratio_by_resolution": dict(sorted(summary.items()))}
     return {"rows": rows, "meta": meta}

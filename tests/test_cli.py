@@ -1,6 +1,7 @@
 """CLI contract: exit codes, outputs, determinism."""
 
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -301,3 +302,59 @@ def test_ratio_writes_the_recorded_files(tmp_path, kernel, args):
     np.testing.assert_allclose([float(r.rsplit(",", 1)[1]) for r in got[1:]],
                                [float(r.rsplit(",", 1)[1]) for r in want[1:]],
                                rtol=1e-14, atol=0)
+
+
+# each subcommand takes only the settings it reads; these calls are valid
+VALID_CALLS = {
+    "suite": ["suite", "--domain", "pinched", "--n", "2", "--suites", "morse"],
+    "eval": ["eval", "--kernel", "Gamma0q", "--n", "2", "--q", "0"],
+    "derive": ["derive", "--kind", "mainint", "--part", "i", "--j", "1"],
+    "ratio": ["ratio", "--kernel", "E", "--n", "2", "--q", "0", "--resolutions", "6",
+              "--trials", "1"],
+}
+
+
+def _valid_call(command, tmp_path):
+    pts = tmp_path / "pts.csv"
+    pts.write_text("1.0,0,0,0,0.9,0,0,0\n")
+    points = ["--points", str(pts)] if command == "eval" else []
+    return VALID_CALLS[command] + points
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("suite", "--eps", "0.3"),
+    ("eval", "--seed", "4"), ("eval", "--eps", "0.3"),
+    ("derive", "--domain", "pinched"), ("derive", "--n", "9"), ("derive", "--q", "1"),
+    ("derive", "--seed", "4"), ("derive", "--eps", "0.3"), ("derive", "--delta", "0.4"),
+    ("ratio", "--delta", "0.4"),
+])
+def test_a_setting_the_subcommand_does_not_read_is_a_usage_error(tmp_path, command, flag,
+                                                                  value):
+    out = tmp_path / "o"
+    assert run([*_valid_call(command, tmp_path), "--out", str(out)]) == 0
+    shutil.rmtree(out)
+    assert run([*_valid_call(command, tmp_path), flag, value, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, key", [
+    ("suite", "eps"), ("derive", "n"), ("ratio", "delta"), ("eval", "nn")])
+def test_a_config_key_the_subcommand_does_not_read_is_a_usage_error(tmp_path, capsys,
+                                                                     command, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: 0.3, "out": str(tmp_path / "o")}))
+    code = run(["--config", str(cfg), *_valid_call(command, tmp_path)])
+    err = _one_line_usage_error(code, capsys)
+    assert f"config key {key!r} is not a setting of {command}" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_report_config_keeps_its_key_order(tmp_path):
+    assert run([*VALID_CALLS["suite"], "--out", str(tmp_path)]) == 0
+    rep = json.loads((tmp_path / "suite_report.json").read_text())
+    assert list(rep["config"]) == ["domain", "n", "out", "q", "seed", "delta"]
+
+
+def test_ratio_meta_records_eps(tmp_path):
+    assert run([*VALID_CALLS["ratio"], "--eps", "0.3", "--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "ratio_E_meta.json").read_text())["eps"] == 0.3

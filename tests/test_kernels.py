@@ -957,3 +957,47 @@ def test_h_l_main_frozen_values(name, n, q, L):
     model = domain.make_domain(name, n)
     v = kernels.theta_coefficient(kernels.hq_main(model, q).eval(*_frozen_pair(model)), L)
     _assert_frozen(v, H_L_MAIN_FROZEN[name, n, q, L])
+
+
+# -- unitary covariance (ROADMAP item 18) --------------------------------------------
+
+
+def _unitary(model, seed=0):
+    """U from the QR of a seeded complex Gaussian; on `pinched` it acts on
+    z' = (z_2, ..., z_n) only, which preserves r."""
+    m = model.n - 1 if model.name == "pinched" else model.n
+    g = np.random.default_rng(seed).standard_normal((m, m, 2))
+    U = np.eye(model.n, dtype=complex)
+    U[model.n - m:, model.n - m:] = np.linalg.qr(g[..., 0] + 1j * g[..., 1])[0]
+    return U
+
+
+def _covariance_error(k, U, zeta, z):
+    """|| to_coord(K(U zeta, U z) read in the coframe U) - K(zeta, z) || / ||K(zeta, z)||"""
+    want = k.eval(zeta, z)
+    rotated = k.eval(U @ zeta, U @ z)
+    got = forms.to_coord(DoubleForm(k.n, rotated.coeffs, (forms.ADAPTED, forms.ADAPTED)),
+                         U, U)
+    return (got - want).norm() / want.norm()
+
+
+@pytest.mark.parametrize("name", ["ball", "pinched"])
+@pytest.mark.parametrize("build, bound", [
+    (kernels.nq, 1e-10), (kernels.lq, 1e-10), (kernels.tq, 1e-9), (kernels.gamma0q, 1e-10),
+], ids=["nq", "lq", "tq", "gamma0q"])
+def test_kernels_are_unitary_covariant(name, build, bound):
+    model = domain.make_domain(name, 3)
+    path = verify.PathSpec(model, verify._base_point(model, 0), "parabolic", (2.0 ** -6,), 0)
+    (_, zeta, z), = path.pairs()
+    assert _covariance_error(build(model, 1), _unitary(model), zeta, z) <= bound
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 18: lq_main pairs label L of two Gram-Schmidt "
+                          "frames whose phases jump where a coordinate vanishes")
+def test_lq_main_is_unitary_covariant_from_a_zero_coordinate_base_point():
+    base = np.array([0.6 + 0.2j, 0.5 - 0.3j, 0])
+    path = verify.PathSpec(BALL3, 0.9 * base / np.linalg.norm(base), "parabolic",
+                           (2.0 ** -4, 2.0 ** -7), 0)
+    k, U = kernels.lq_main(BALL3, 1), _unitary(BALL3)
+    assert max(_covariance_error(k, U, zeta, z) for _, zeta, z in path.pairs()) <= 1e-10

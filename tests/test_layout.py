@@ -76,11 +76,11 @@ def _reads(tree: ast.Module):
             yield node.value, node.lineno
 
 
-def test_every_definition_is_read():
-    """A definition in the package that nothing in src, tests or bench reads,
-    apart from its own body, is dead code."""
+def _unread(readers) -> list[str]:
+    """Definitions in the package that no file under `readers` reads, apart
+    from the definition's own body."""
     reads = {}
-    for path in sorted(p for d in READERS for p in d.rglob("*.py")):
+    for path in sorted(p for d in readers for p in d.rglob("*.py")):
         for name, line in _reads(_tree(path)):
             reads.setdefault(name, []).append((path, line))
     dead = []
@@ -89,4 +89,40 @@ def test_every_definition_is_read():
             own = range(node.lineno, node.end_lineno + 1)
             if not any(p != path or line not in own for p, line in reads.get(name, [])):
                 dead.append(f"{path.name}:{qual}")
-    assert dead == []
+    return dead
+
+
+def test_every_definition_is_read():
+    """A definition in the package that nothing in src, tests or bench reads,
+    apart from its own body, is dead code."""
+    assert _unread(READERS) == []
+
+
+# Definitions that no module of the package reads, each with the reader that
+# keeps it.  The list may only shrink.
+READ_OUTSIDE_SRC = [
+    # named in bench/tracer.py's tables and read by tests
+    "forms.py:DoubleForm.bidegree",     # tracer DOUBLEFORM_METHODS; tests/test_forms.py
+    "forms.py:DoubleForm.z_degree",     # tracer DOUBLEFORM_METHODS; tests/test_kernels.py
+    "forms.py:swap_variables",          # tracer FORMS_FUNCTIONS; tests/test_forms.py
+    "forms.py:pair_pointwise",          # tracer FORMS_FUNCTIONS; tests/test_forms.py, test_quad.py
+    "kernels.py:tau_nu_split",          # tracer KERNELS_HELPERS; tests/test_kernels.py
+    "quad.py:field_from_function",      # tracer QUAD_FUNCTIONS; tests/test_quad.py
+    "quad.py:weighted_lp_norm",         # tracer QUAD_FUNCTIONS; tests/test_quad.py
+    "quad.py:pair_operator",            # tracer QUAD_FUNCTIONS; tests/test_quad.py
+    "quad.py:batch_frames",             # tracer QUAD_FUNCTIONS
+    # paper checks of the acceptance tests
+    "typecalc.py:lq_main_terms",        # acceptance 1
+    "typecalc.py:gamma0q_descriptor",   # acceptance 1
+    "typecalc.py:tq_main_descriptors",  # acceptance 1
+    "zalg.py:ZExpr.set_gamma_one",      # acceptance 5
+    "zalg.py:principal_part_type",      # acceptance 5
+    # read by a unit test only
+    "zalg.py:map_exponent",             # tests/test_zalg.py
+]
+
+
+def test_every_definition_is_read_in_src_or_allowed():
+    """The stricter scan: only readers under src count, and what they leave
+    unread is exactly the allow-list above."""
+    assert _unread([SRC]) == READ_OUTSIDE_SRC

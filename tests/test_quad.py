@@ -279,6 +279,24 @@ def test_certificate_operators_are_the_kernel_operators(model, q):
         assert d.norm() > 0 and (v.norm() > 0 if q else v.is_zero())
 
 
+@pytest.mark.parametrize("seed", [0, 5, 11])
+def test_certificate_symbols_are_adjoint(seed):
+    """V_k = -D_k^H, exactly, at every 1 <= q <= n <= 5: D_k F = dzetabar_k ^ F
+    on (q-1)-forms and V_k G = -*(dzeta_k ^ *G) on q-forms, the fixed forms
+    of the certificate's dbar and vartheta.  The pairing with D_k is kept
+    away from 0, so a negated or zeroed vartheta fails here."""
+    for n in range(1, 6):
+        model = domain.ball(n)
+        for q in range(1, n + 1):
+            F, dbar_u, _, _ = quad._field_forms(model, seed, q - 1)
+            G, _, vartheta_v, _ = quad._field_forms(model, seed + 1, q)
+            d = [forms.inner(dbar_u[k], G) for k in range(n)]
+            v = [forms.inner(F, vartheta_v[k]) for k in range(n)]
+            scale = max(abs(x) for x in d)
+            assert scale >= 0.1, (n, q)
+            assert max(abs(x + y) for x, y in zip(d, v)) <= 1e-14 * scale, (n, q)
+
+
 @pytest.mark.parametrize("build, model, q", [
     (kernels.nq, BALL3, 1), (kernels.nq, BALL4, 2), (kernels.nq, domain.pinched(4), 1),
     (kernels.gamma0q, BALL3, 0), (kernels.gamma0q, BALL3, 1), (kernels.gamma0q, BALL3, 2),
