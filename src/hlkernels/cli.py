@@ -52,7 +52,7 @@ def _load_config(args) -> dict:
         for key in cfg:
             if key not in takes:
                 raise ValueError(f"config key {key!r} is not a setting of {args.command}, "
-                                 f"which takes {', '.join(takes)}")
+                                 f"which takes {', '.join(takes) or 'none'}")
     for key in takes:
         if getattr(args, key) is not None:
             cfg[key] = getattr(args, key)
@@ -79,6 +79,7 @@ def _outdir(cfg) -> Path:
 
 
 def cmd_list_suites(args) -> int:
+    _load_config(args)      # it takes no setting, but a bad config file is still an error
     for name in sorted(verify.SUITES):
         print(name)
     return EXIT_PASS
@@ -202,12 +203,21 @@ def cmd_ratio(args) -> int:
     return EXIT_PASS
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser, and through `parser_class` its subcommands' parsers,
+    whose usage errors are one line, `error: <message>`, with exit code 2,
+    as every other usage error is; --help still prints help and exits 0."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="hlkernels",
         description="Kernel calculus and verification suites on model domains")
     ap.add_argument("--config", help="JSON config file; flags override")
-    sub = ap.add_subparsers(dest="command", required=True)
+    sub = ap.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     def command(name, func, about):
         p = sub.add_parser(name, help=about)

@@ -13,7 +13,7 @@ is still the identity everywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -248,26 +248,34 @@ class DomainModel:
         return np.where(s <= self.delta, 1.0, np.where(s >= 1.5 * self.delta, 0.0, band))[()]
 
     def geo_pair(self, zeta: np.ndarray, z: np.ndarray) -> "GeoPair":
-        """Every pair scalar, from one gradient and one r per point.
+        """Every pair scalar, from one gradient and one r per point: the pair
+        stage `geo_pair_of` of the point stages `geo_point`.
 
         Raises OutsideDomain, then SingularFramePoint where a gamma vanishes
         (P is undefined there), then DiagonalRadiusExceeded.
         """
+        return self.geo_pair_of(self.geo_point(zeta), self.geo_point(z))
+
+    def geo_point(self, zeta: np.ndarray) -> "GeoPoint":
+        """The one-point data of `geo_pair` at one point (n,) or per row
+        (P, n); OutsideDomain unless every point lies in the halo."""
         zeta = np.asarray(zeta, dtype=complex)
-        z = np.asarray(z, dtype=complex)
         grad, r = self._grad_r(zeta)
-        grad_s, r_s = self._grad_r(z)
-        g = self._gamma_of(grad)
-        g_s = self._gamma_of(grad_s)
-        if (np.minimum(g, g_s) <= TOL_FRAME).any():
+        return GeoPoint(zeta=zeta, r=r, grad=grad, gamma=self._gamma_of(grad))
+
+    def geo_pair_of(self, p: "GeoPoint", w: "GeoPoint") -> "GeoPair":
+        """`geo_pair` from the point stages p of zeta and w of z: p one point
+        or rows, w one point.  SingularFramePoint where a gamma vanishes,
+        then DiagonalRadiusExceeded."""
+        if (np.minimum(p.gamma, w.gamma) <= TOL_FRAME).any():
             raise SingularFramePoint("gamma vanishes; P undefined")
-        d = self._pair_diff(zeta, z)
+        d = self._pair_diff(p.zeta, w.zeta)
         rho2 = self._rho2_of(d)
-        f = self._support(grad, d)
+        f = self._support(p.grad, d)
         return GeoPair(
-            model=self, zeta=zeta, z=z, r=r, r_star=r_s, grad=grad,
-            gamma=g, gamma_star=g_s, rho2=rho2, f=f, phi=f - r,
-            big_p=rho2 + 2.0 * (r / g) * (r_s / g_s),
+            model=self, zeta=p.zeta, z=w.zeta, r=p.r, r_star=w.r, grad=p.grad,
+            gamma=p.gamma, gamma_star=w.gamma, rho2=rho2, f=f, phi=f - p.r,
+            big_p=rho2 + 2.0 * (p.r / p.gamma) * (w.r / w.gamma),
         )
 
     # boundary helpers ----------------------------------------------------
@@ -340,6 +348,25 @@ def make_domain(name: str, n: int, delta: float = 0.15) -> DomainModel:
     except KeyError:
         raise DomainError(f"unknown domain {name!r}; have {sorted(_BUILDERS)}")
     return builder(n, delta=delta)
+
+
+@dataclass(frozen=True)
+class GeoPoint:
+    """The data of one point that every pair formula reads: zeta, r,
+    dr/dzeta and gamma, at one point (n,) or per row (P, n).  Indexing takes
+    rows of every field, so a point stage built once serves any subset of
+    its rows; subclasses add fields of their own."""
+
+    zeta: np.ndarray
+    r: float | np.ndarray
+    grad: np.ndarray
+    gamma: float | np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.zeta)
+
+    def __getitem__(self, rows) -> "GeoPoint":
+        return type(self)(**{f.name: getattr(self, f.name)[rows] for f in fields(self)})
 
 
 @dataclass(frozen=True)

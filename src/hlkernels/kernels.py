@@ -11,12 +11,13 @@ dbar / del / vartheta operators use central finite differences with one
 Richardson level, so the error orders are measurable and controlled per path.
 
 A derivative evaluates its whole stencil, 2n real directions times the four
-steps +-h, +-h/2, in one call of `KernelEvaluator.rows`.  `nq` (through
-`nq_rows`), `gamma0q` (through `gamma0q_packed`) and `kernel_star_zeta` of
-either have native rows of zeta; `cq` and `lq` have native rows of zeta and
-of z, and `lq` its own *_zeta on rows, each one contraction of the jets'
-scalars with constant arrays.  Every other kernel, the printed G among them,
-loops its pointwise `eval` over the rows, in that one method only.
+steps +-h, +-h/2, in one call of `KernelEvaluator.rows`.  `nq` (a point
+stage per point, then a pair stage: `nq_stages`), `gamma0q` (through
+`gamma0q_packed`) and `kernel_star_zeta` of either have native rows of zeta;
+`cq` and `lq` have native rows of zeta and of z, and `lq` its own *_zeta on
+rows, each one contraction of the jets' scalars with constant arrays.  Every
+other kernel, the printed G among them, loops its pointwise `eval` over the
+rows, in that one method only.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from . import forms
-from .domain import DomainModel
+from .domain import TOL_FRAME, DomainModel, GeoPoint
 from .forms import (ADAPTED, COORD, DoubleForm, anti_keys, compound, conj_form, wedge,
                     wedge_power)
 
@@ -55,7 +56,10 @@ class KernelEvaluator:
     takes rows of zeta, `z_rows` rows of z, and `star_zeta_rows` gives
     *_zeta of the values at rows of zeta.  Each returns a list of P values
     or, when `packed_q` is set, the packed array (P, C(n,q), C(n,q)) of
-    `_packed_form` with q = packed_q.
+    `_packed_form` with q = packed_q.  `stages`, where set, is the pair
+    (point, pair) with zeta_rows(zeta_rows, z) = pair(point(zeta_rows),
+    point(z)): point takes one point or rows to their `GeoPoint`, which
+    indexes by rows, so one point stage serves many z.
     """
 
     id: str
@@ -65,10 +69,11 @@ class KernelEvaluator:
     packed_q: int | None = None
     z_rows: Callable[[np.ndarray, np.ndarray], list] | None = None
     star_zeta_rows: Callable[[np.ndarray, np.ndarray], list] | None = None
+    stages: tuple[Callable, Callable] | None = None
 
     @classmethod
     def from_rows(cls, kid: str, n: int, rows, packed_q: int | None = None,
-                  z_rows=None, star_zeta_rows=None) -> "KernelEvaluator":
+                  z_rows=None, star_zeta_rows=None, stages=None) -> "KernelEvaluator":
         """The kernel with these row entry points, `zeta_rows` = rows; its
         pointwise `eval` is the one-row case of rows."""
 
@@ -76,7 +81,19 @@ class KernelEvaluator:
             val = rows(np.asarray(zeta)[None, :], z)[0]
             return val if packed_q is None else _packed_form(n, packed_q, val)
 
-        return cls(kid, n, ev, rows, packed_q, z_rows, star_zeta_rows)
+        return cls(kid, n, ev, rows, packed_q, z_rows, star_zeta_rows, stages)
+
+    @classmethod
+    def from_stages(cls, kid: str, n: int, point, pair,
+                    packed_q: int | None = None) -> "KernelEvaluator":
+        """The kernel with these `stages`; its rows of zeta are
+        pair(point(zeta_rows), point(z)), with the errors of each in that
+        order."""
+
+        def rows(zeta_rows, z):
+            return pair(point(zeta_rows), point(z))
+
+        return cls.from_rows(kid, n, rows, packed_q, stages=(point, pair))
 
     def rows(self, pts: np.ndarray, other: np.ndarray, var: str = "zeta") -> list[DoubleForm]:
         """The values at (pts[i], other), or at (other, pts[i]) for var = "z":
@@ -636,9 +653,21 @@ def neumann_tangential_scalar(n: int, q: int, g, gs, phi, P):
     return s
 
 
-def nq_rows(model: DomainModel, q: int):
-    """The principal Neumann kernel on rows of zeta: rows(zeta_rows, z) is
-    (P, C(n,q), C(n,q)), packed as in `_packed_form`.
+@dataclass(frozen=True)
+class FramedPoint(GeoPoint):
+    """The point stage of `N_q`: a point's `GeoPoint`, its coframe U and
+    conj(C_q(U)), at one point or per row."""
+
+    frame: np.ndarray
+    conj_cq: np.ndarray
+
+
+def nq_stages(model: DomainModel, q: int):
+    """The principal Neumann kernel in two stages: point(pts) is the
+    `FramedPoint` of one point or of rows, and pair(zeta_points, z_point) is
+    (P, C(n,q), C(n,q)), packed as in `_packed_form`.  `nq`'s rows of zeta
+    are pair(point(zeta_rows), point(z)), and a point stage built once
+    serves every z.
 
     In the adapted frames the mixed form -(1/2) dbar_zeta d_z rho^2 has the
     matrix A = U(zeta) H^-1 U(z)^H, and its q-th wedge power is
@@ -647,7 +676,10 @@ def nq_rows(model: DomainModel, q: int):
     (q-1)! times the rest of the q-th power, with A_nn C_(q-1) of the
     tangential block where both labels hold n.  The frame change to
     coordinates is conj(C_q(U(zeta)))^T body C_q(U(z)), plus Gamma_0q.
-    Errors: those of `DomainModel.geo_pair`, then PoleOnDiagonal.
+    Errors: point raises those of `DomainModel.geo_point`; pair those of
+    `DomainModel.geo_pair_of`, then PoleOnDiagonal.  A point whose gamma
+    vanishes gets a NaN frame, which pair never reads, since it raises on
+    that gamma first.
     """
     n = model.n
     if n < 3:
@@ -660,13 +692,23 @@ def nq_rows(model: DomainModel, q: int):
     tan_keys = np.flatnonzero(~has_n)
     n_keys = np.flatnonzero(has_n)
 
-    def rows(zeta_rows, z):
-        pair = model.geo_pair(zeta_rows, z)
-        gam = gamma0q_packed(model, q, pair.rho2)
-        P = pair.big_p
-        s = neumann_tangential_scalar(n, q, pair.gamma, pair.gamma_star, pair.phi, P)
-        Uc = model.frame(zeta_rows)
-        Uw = model.frame(pair.z)
+    def point(pts) -> FramedPoint:
+        geo = model.geo_point(pts)
+        live = geo.gamma > TOL_FRAME
+        if np.all(live):
+            U = model.frame(geo.zeta)
+        else:
+            U = np.full(geo.zeta.shape + (n,), np.nan, dtype=complex)
+            if np.any(live):
+                U[live] = model.frame(geo.zeta[live])
+        return FramedPoint(**vars(geo), frame=U, conj_cq=compound(U, q).conj())
+
+    def pair(zp: FramedPoint, wp: FramedPoint) -> np.ndarray:
+        geo = model.geo_pair_of(zp, wp)
+        gam = gamma0q_packed(model, q, geo.rho2)
+        P = geo.big_p
+        s = neumann_tangential_scalar(n, q, geo.gamma, geo.gamma_star, geo.phi, P)
+        Uc, Uw = zp.frame, wp.frame
         A = (Uc.reshape(-1, n) @ (model.levi_inv @ Uw.conj().T)).reshape(Uc.shape)
         CA = compound(A, q)
         nu_w = sign * conormal_weight(n, P)
@@ -678,17 +720,17 @@ def nq_rows(model: DomainModel, q: int):
                                                 * compound(A[:, :n - 1, :n - 1], q - 1))
         # the two per-node factors first: the path einsum's optimizer picks
         # for every n and block size, given here so no call searches for it
-        K = np.einsum("cji,cjk,ka->cia", compound(Uc, q).conj(), body, compound(Uw, q),
+        K = np.einsum("cji,cjk,ka->cia", zp.conj_cq, body, wp.conj_cq.conj(),
                       optimize=["einsum_path", (0, 1), (0, 1)])
         return K + gam
 
-    return rows
+    return point, pair
 
 
 def nq(model: DomainModel, q: int) -> KernelEvaluator:
-    """Principal kernel of the Neumann operator, with `nq_rows` as its rows
-    of zeta."""
-    return KernelEvaluator.from_rows(f"Nq[q={q}]", model.n, nq_rows(model, q), q)
+    """Principal kernel of the Neumann operator, from the stages of
+    `nq_stages`."""
+    return KernelEvaluator.from_stages(f"Nq[q={q}]", model.n, *nq_stages(model, q), q)
 
 
 def theta_coefficient(f: DoubleForm, L: tuple[int, ...]) -> DoubleForm:

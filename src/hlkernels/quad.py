@@ -12,11 +12,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
+from math import prod
 
 import numpy as np
 
 from . import forms, kernels
-from .domain import DomainModel
+from .domain import DomainModel, GeoPoint
 from .forms import DoubleForm, anti_keys
 from .kernels import KernelError, KernelEvaluator
 
@@ -73,12 +74,31 @@ class Grid:
         inside.flags.writeable = False
         return inside
 
+    @cached_property
+    def lattice(self) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+        """The cells' lattice index: per real coordinate (Re z_1, Im z_1,
+        Re z_2, ...) the sorted distinct values of the cells, then each
+        cell's positions among them as one mixed-radix key, given as the
+        keys in increasing order and the cells in that order.  `make_grid`
+        lists its cells in lexicographic lattice order, so there that order
+        is the identity."""
+        reals = np.ascontiguousarray(self.centers, dtype=complex).view(float)
+        axes = [np.unique(col) for col in reals.T]
+        if prod(len(a) for a in axes) >= 2 ** 63:
+            raise QuadError("lattice keys do not fit in 64 bits")
+        keys = np.zeros(len(self), dtype=np.int64)
+        for a, col in zip(axes, reals.T):
+            keys = keys * len(a) + np.searchsorted(a, col)
+        order = np.argsort(keys, kind="stable")
+        return axes, keys[order], order
+
     def total_volume(self) -> float:
         return self.cell_volume * len(self.centers)
 
 
 GRID_BOX = 1.02     # half-width of the lattice box; both models fit in it
 BLOCK_NODES = 4096  # nodes per block of batched kernel evaluation and contraction
+WALK_NODES = 8192   # subcells per block of `apply_kernel`'s walk over the near cells
 TARGET_DRAWS = 10000  # candidate points drawn for the ratio-table targets
 
 
@@ -149,24 +169,97 @@ def norm_values(values: np.ndarray, gammas: np.ndarray, vol: float,
 # -- operator application -------------------------------------------------------
 
 
+def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The concatenation of arange(lo[i], hi[i]) over i."""
+    lens = hi - lo
+    return np.repeat(lo - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
+
+
 def _split_nodes(grid: Grid, z: np.ndarray):
-    """Far cells plus locally 2x-refined subcells near one target, with the
-    diagonal exclusion of subcells within h/2: the far-cell mask and the
-    kept subcells.  Only the near-cell test and the exclusion depend on the
-    target; the rest is cached on the grid."""
-    h = grid.h
-    reals = np.asarray(grid.centers, dtype=complex).view(float)  # Re z_1, Im z_1, ...
+    """The far-cell mask and the near cells, in cell order, of one target:
+    near are the cells whose centre lies within 1.5h of z in every real
+    coordinate.  They come from the lattice index: the test is taken on each
+    coordinate's distinct values, which are the cells' coordinates bit for
+    bit, and the cells in the box of lattice positions it leaves are read
+    off the sorted keys, a range of the last coordinate per position of the
+    others.  |a - x| <= 1.5h holds on an interval of the sorted values a,
+    since rounding is monotone."""
+    axes, keys, order = grid.lattice
+    box = [np.flatnonzero(np.abs(a - x) <= 1.5 * grid.h)
+           for a, x in zip(axes, np.ascontiguousarray(z, dtype=complex).view(float))]
+    near = np.empty(0, dtype=np.intp)
+    if all(len(b) for b in box):
+        prefix = np.zeros(1, dtype=np.int64)
+        for a, b in zip(axes[:-1], box[:-1]):
+            prefix = (prefix[:, None] * len(a) + b).ravel()
+        prefix *= len(axes[-1])
+        lo = np.searchsorted(keys, prefix + box[-1][0])
+        hi = np.searchsorted(keys, prefix + box[-1][-1], side="right")
+        near = np.sort(order[_ranges(lo, hi)])
+    far = np.ones(len(grid), dtype=bool)
+    far[near] = False
+    return far, near
+
+
+def _subcells(grid: Grid, cells: np.ndarray):
+    """The refined subcells of cells that lie in r < -eps, cell by cell: the
+    count per cell and their midpoints."""
+    inside = grid.subcell_inside[cells]
+    cell_of, offs = np.nonzero(inside)
+    return inside.sum(axis=1), grid.centers[cells[cell_of]] + grid.subcell_offsets[offs]
+
+
+def _outside_half_cell(grid: Grid, z: np.ndarray, cells: np.ndarray, counts: np.ndarray,
+                       sub: np.ndarray) -> np.ndarray:
+    """The diagonal exclusion: which of sub, the subcells of cells with
+    counts per cell, lie at least h/2 from z, a contiguous (n,).  A subcell
+    within h/2 of z has its cell's centre within 3h/4 of z in every
+    coordinate, so only the cells nearer than h need the distance."""
+    reals = np.ascontiguousarray(grid.centers, dtype=complex).view(float)[cells]
     inf_dist = np.max(np.abs(reals - z.view(float)), axis=1)
-    near = inf_dist <= 1.5 * h
-    cells, offs = np.nonzero(grid.subcell_inside[near])
-    cells = np.flatnonzero(near)[cells]
-    sub = grid.centers[cells] + grid.subcell_offsets[offs]
-    # a subcell within h/2 of z has its cell's center within 3h/4 of z in
-    # every coordinate, so only the cells nearer than h need the distance
-    close = np.flatnonzero(inf_dist[cells] < h)
+    close = np.repeat(inf_dist < grid.h, counts)
     keep = np.ones(len(sub), dtype=bool)
-    keep[close] = np.linalg.norm(sub[close] - z, axis=1) >= h / 2
-    return ~near, sub[keep]
+    keep[close] = np.linalg.norm(sub[close] - z, axis=1) >= grid.h / 2
+    return keep
+
+
+def _walk_blocks(grid: Grid, near: list[np.ndarray]) -> list[np.ndarray]:
+    """The cells near some target, in cell order, cut into blocks of at most
+    WALK_NODES subcells where the cells allow it: first where the first
+    complex coordinate changes, a piece still too large also where the
+    second changes, and so on; consecutive pieces are then joined while a
+    block stays within WALK_NODES."""
+    union = np.unique(np.concatenate([np.empty(0, dtype=np.intp), *near]))
+    if not len(union):
+        return []
+    ends = np.concatenate([[0], np.cumsum(grid.subcell_inside[union].sum(axis=1))])
+    coords = grid.centers[union]
+    # the first complex coordinate that changes from one cell to the next
+    level = np.argmax(coords[1:] != coords[:-1], axis=1)
+    cuts = {0, len(union)}
+    for k in range(grid.n):
+        at = sorted(cuts)
+        for lo, hi in zip(at[:-1], at[1:]):
+            if ends[hi] - ends[lo] > WALK_NODES:
+                cuts.update(lo + 1 + np.flatnonzero(level[lo:hi - 1] <= k))
+    at = sorted(cuts)
+    blocks, lo = [], 0
+    for mid, hi in zip(at[1:-1], at[2:]):
+        if ends[hi] - ends[lo] > WALK_NODES:
+            blocks.append(union[lo:mid])
+            lo = mid
+    blocks.append(union[lo:])
+    return blocks
+
+
+def _node_major(K: np.ndarray) -> np.ndarray:
+    """K (nodes, b, a) as (nodes, b * a), also for no nodes."""
+    return K.reshape(len(K), prod(K.shape[1:]))
+
+
+def _as_points(pts) -> np.ndarray:
+    """The point stage of a kernel without one: the points themselves."""
+    return np.asarray(pts, dtype=complex)
 
 
 def apply_kernel(kernel: KernelEvaluator | None, f_func, grid: Grid,
@@ -179,31 +272,55 @@ def apply_kernel(kernel: KernelEvaluator | None, f_func, grid: Grid,
     and the field axis for a stack.  A field with only f_func.batch(points)
     -> (points, ncomp) is its ncomp components times identity coefficients.
     Returns (ntargets, ..., ncomp) output components in the conjugate z
-    basis.  batch_eval returns the packed kernel coefficient array (nodes,
-    ncomp_in, ncomp_out) for fixed z, which is only read; without it,
-    `batch_kernel(kernel, q)`.  The kernel is evaluated once per target.
-    One matrix product of profiles against kernel values gives the moments
-    sum_i conj(p[i, m]) K[i, b, a], for the far cells at once and for the
-    subcells a block of nodes at a time, so that only the kernel array spans
-    all of a target's nodes; the two volumes, the conjugation and the
-    coefficients then act on the small (m, b, a) sums."""
+    basis.
+
+    batch_eval(nodes, z) returns the packed kernel coefficient array (nodes,
+    ncomp_in, ncomp_out), which is only read; without it,
+    `batch_kernel(kernel, q)`.  Its attribute `point`, where it has one, is
+    the point stage, and batch_eval then takes point stages for nodes and z
+    (and rows of one for nodes); a plain callable's point stage is the
+    points themselves.  The point stage is taken once for the grid's
+    centres and once per target.  Each target's far cells are one call.  The
+    subcells of the cells near some target are walked in blocks
+    (`_walk_blocks`); each block's point stage and profiles are taken once,
+    and each target near the block takes its kept subcells from them in one
+    call.  One matrix product of profiles against kernel values gives the
+    moments sum_i conj(p[i, m]) K[i, b, a] of each call; the two volumes,
+    the conjugation and the coefficients then act on the small (m, b, a)
+    sums."""
     if batch_eval is None:
         batch_eval = batch_kernel(kernel, q)
+    point = getattr(batch_eval, "point", _as_points)
     profiles = f_func.profiles if hasattr(f_func, "profiles") else f_func.batch
     base = profiles(grid.centers)
     coef = getattr(f_func, "coefficients", np.eye(base.shape[1]))
+    targets = np.ascontiguousarray(targets, dtype=complex)
     out = np.empty((len(targets),) + coef.shape[:-2] + coef.shape[-1:], dtype=complex)
+    centres = point(grid.centers)
+    near, staged, moments = [], [], []
+    for z in targets:
+        far, cells = _split_nodes(grid, z)
+        near.append(cells)
+        staged.append(point(z))
+        K = batch_eval(centres[far], staged[-1])
+        moments.append(grid.cell_volume * (base[far].conj().T @ _node_major(K)))
     sub_vol = grid.cell_volume / 4 ** grid.n
-    for ti, z in enumerate(np.asarray(targets, dtype=complex)):
-        far, sub = _split_nodes(grid, z)
-        far_rows = base[far]
-        K = batch_eval(np.concatenate([grid.centers[far], sub]), z)
-        k_far, k_sub = np.split(K.reshape(len(K), -1), [len(far_rows)])
-        moments = grid.cell_volume * (far_rows.conj().T @ k_far)
-        for lo in range(0, len(sub), BLOCK_NODES):
-            rows = profiles(sub[lo:lo + BLOCK_NODES])
-            moments += sub_vol * (rows.conj().T @ k_sub[lo:lo + BLOCK_NODES])
-        out[ti] = np.tensordot(coef, moments.conj().reshape(-1, *K.shape[1:]), 2)
+    for cells in _walk_blocks(grid, near):
+        counts, sub = _subcells(grid, cells)
+        sub_points, prof = point(sub), profiles(sub)
+        starts = np.concatenate([[0], np.cumsum(counts)])
+        for ti, z in enumerate(targets):
+            mine = near[ti][np.searchsorted(near[ti], cells[0]):
+                            np.searchsorted(near[ti], cells[-1], side="right")]
+            if not len(mine):
+                continue
+            at = np.searchsorted(cells, mine)
+            rows = _ranges(starts[at], starts[at + 1])
+            rows = rows[_outside_half_cell(grid, z, mine, counts[at], sub[rows])]
+            k_sub = batch_eval(sub_points[rows], staged[ti])
+            moments[ti] += sub_vol * (prof[rows].conj().T @ _node_major(k_sub))
+    for ti, m in enumerate(moments):
+        out[ti] = np.tensordot(coef, m.conj().reshape(-1, *K.shape[1:]), 2)
     return out
 
 
@@ -235,11 +352,15 @@ def batch_kernel(kernel: KernelEvaluator, q: int):
     temporaries have one size whatever the number of nodes.  A kernel with
     packed rows of degree q hands its arrays over as they are; other values
     are packed by `kernels.packed_coefficients`, QuadError where they do not
-    pack."""
+    pack.  A kernel with `stages` gives the evaluator its point stage as the
+    attribute `point`; nodes and z are then points or their point stages,
+    and only the pair stage runs per block."""
     ncomp = len(anti_keys(kernel.n, q))
     if kernel.packed_q == q:
-        rows = kernel.zeta_rows
+        point, rows = kernel.stages or (_as_points, kernel.zeta_rows)
     else:
+        point = _as_points
+
         def rows(nodes, z):
             values = kernel.rows(nodes, z)
             try:
@@ -247,19 +368,21 @@ def batch_kernel(kernel: KernelEvaluator, q: int):
             except KernelError as e:
                 raise QuadError(f"{kernel.id}: {e}") from None
 
-    def ev(nodes: np.ndarray, z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=complex)
+    def ev(nodes, z) -> np.ndarray:
+        nodes, z = (x if isinstance(x, GeoPoint) else point(x) for x in (nodes, z))
         out = np.empty((len(nodes), ncomp, ncomp), dtype=complex)
         for lo in range(0, len(nodes), BLOCK_NODES):
             out[lo:lo + BLOCK_NODES] = rows(nodes[lo:lo + BLOCK_NODES], z)
         return out
 
+    ev.point = point
     return ev
 
 
 def batch_nq(model: DomainModel, q: int):
-    """Principal Neumann kernel `kernels.nq_rows`, packed (nodes, B, A) with
-    the coefficient of dzetabar^B ^ dz^A: `batch_kernel` of `kernels.nq`."""
+    """Principal Neumann kernel `kernels.nq`, packed (nodes, B, A) with the
+    coefficient of dzetabar^B ^ dz^A: `batch_kernel` of `kernels.nq`, whose
+    point stage it carries."""
     return batch_kernel(kernels.nq(model, q), q)
 
 

@@ -358,3 +358,37 @@ def test_report_config_keeps_its_key_order(tmp_path):
 def test_ratio_meta_records_eps(tmp_path):
     assert run([*VALID_CALLS["ratio"], "--eps", "0.3", "--out", str(tmp_path)]) == 0
     assert json.loads((tmp_path / "ratio_E_meta.json").read_text())["eps"] == 0.3
+
+
+@pytest.mark.parametrize("config", [None, {"n": 3}, []], ids=["missing", "key", "not-object"])
+def test_list_suites_reads_its_config_file(tmp_path, capsys, config):
+    # list-suites takes no setting, so any key is a usage error, as is a file
+    # that does not exist or does not hold a JSON object
+    cfg = tmp_path / "cfg.json"
+    if config is not None:
+        cfg.write_text(json.dumps(config))
+    err = _one_line_usage_error(run(["--config", str(cfg), "list-suites"]), capsys)
+    assert err.startswith("error: ")
+    assert capsys.readouterr().out == ""
+    cfg.write_text("{}")
+    assert run(["--config", str(cfg), "list-suites"]) == 0
+    assert "nkern" in capsys.readouterr().out.split()
+
+
+@pytest.mark.parametrize("args, want", [
+    (["suite", "--eps", "0.3", "--suites", "morse"], "unrecognized arguments: --eps 0.3"),
+    (["ratio", "--kernel", "X"], "argument --kernel: invalid choice: 'X'"),
+    (["suite", "--n", "three"], "argument --n: invalid int value: 'three'"),
+    (["derive", "--kind", "mainint"], "the following arguments are required: --part, --j"),
+    ([], "the following arguments are required: command"),
+])
+def test_argument_errors_are_one_line(capsys, args, want):
+    # argparse's own wording, which may add to the message, follows "error: "
+    assert _one_line_usage_error(run(args), capsys).startswith(f"error: {want}")
+
+
+@pytest.mark.parametrize("args", [["--help"], ["suite", "--help"]])
+def test_help_still_prints_and_exits_0(capsys, args):
+    assert run(args) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: hlkernels") and captured.err == ""

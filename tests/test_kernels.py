@@ -818,7 +818,7 @@ def test_nq_does_not_depend_on_the_tangential_coframe(monkeypatch, name, n):
     model = domain.make_domain(name, n)
     pts, z = _oracle_points(model)
     pts = np.asarray(pts)
-    want = {q: kernels.nq_rows(model, q)(pts, z) for q in range(1, n - 1)}
+    want = {q: kernels.nq(model, q).zeta_rows(pts, z) for q in range(1, n - 1)}
     g = np.random.default_rng(7).standard_normal((n - 1, n - 1, 2))
     unitary = np.linalg.qr(g[..., 0] + 1j * g[..., 1])[0]
     frame = domain.DomainModel.frame
@@ -830,8 +830,78 @@ def test_nq_does_not_depend_on_the_tangential_coframe(monkeypatch, name, n):
     monkeypatch.setattr(domain.DomainModel, "frame", rotated)
     assert not np.allclose(model.frame(pts), frame(model, pts))
     for q, w in want.items():
-        got = kernels.nq_rows(model, q)(pts, z)
+        got = kernels.nq(model, q).zeta_rows(pts, z)
         np.testing.assert_allclose(got, w, rtol=1e-13, atol=1e-13 * np.max(np.abs(w)))
+
+
+def _nq_rows_in_one_stage(model, q):
+    """`N_q`'s rows of zeta as one function of (zeta_rows, z), as `nq_rows`
+    computed them before `nq_stages` split them into a point stage and a
+    pair stage: the byte-for-byte oracle of the split."""
+    n = model.n
+    sign = (-1.0) ** (q * (q - 1) // 2)
+    tan_const = sign * coefficient_c(n, q)
+    has_n = np.array([n in key for key in forms.anti_keys(n, q)])
+    tan_keys = np.flatnonzero(~has_n)
+    n_keys = np.flatnonzero(has_n)
+    compound = forms.compound
+
+    def rows(zeta_rows, z):
+        pair = model.geo_pair(zeta_rows, z)
+        gam = kernels.gamma0q_packed(model, q, pair.rho2)
+        P = pair.big_p
+        s = kernels.neumann_tangential_scalar(n, q, pair.gamma, pair.gamma_star, pair.phi, P)
+        Uc = model.frame(zeta_rows)
+        Uw = model.frame(pair.z)
+        A = (Uc.reshape(-1, n) @ (model.levi_inv @ Uw.conj().T)).reshape(Uc.shape)
+        CA = compound(A, q)
+        nu_w = sign * kernels.conormal_weight(n, P)
+        body = nu_w[:, None, None] * CA
+        tan_block = (slice(None), tan_keys[:, None], tan_keys)
+        body[tan_block] = (tan_const * s)[:, None, None] * CA[tan_block]
+        if q >= 2:
+            body[:, n_keys[:, None], n_keys] = ((nu_w * A[:, n - 1, n - 1])[:, None, None]
+                                                * compound(A[:, :n - 1, :n - 1], q - 1))
+        K = np.einsum("cji,cjk,ka->cia", compound(Uc, q).conj(), body, compound(Uw, q),
+                      optimize=["einsum_path", (0, 1), (0, 1)])
+        return K + gam
+
+    return rows
+
+
+@pytest.mark.parametrize("name", ["ball", "pinched"])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_staged_nq_rows_are_the_one_stage_rows(name, n):
+    # stencil-sized blocks (8n rows) and BLOCK_NODES-sized ones, every q;
+    # the node (0.5, 0, ...) makes the frame skip a coordinate candidate
+    model = domain.make_domain(name, n)
+    _, z = _oracle_points(model)
+    cand = z + np.random.default_rng(n).uniform(-0.2, 0.2, (8 * 4096, 2 * n)).view(complex)
+    pts = np.concatenate([[[0.5] + [0.0] * (n - 1)], cand[model.r(cand) < -0.02][:4095]])
+    assert len(pts) == 4096
+    for q in range(1, n - 1):
+        staged, want = kernels.nq(model, q).zeta_rows, _nq_rows_in_one_stage(model, q)
+        for block in (pts[:8 * n], pts):
+            assert staged(block, z).tobytes() == want(block, z).tobytes(), (q, len(block))
+
+
+def test_staged_nq_rows_raise_in_the_one_stage_order():
+    # the point stage of a point where gamma vanishes does not raise: z is
+    # then checked for the domain first, as geo_pair checks it
+    model = domain.pinched(3)
+    singular, outside, far = c(0.0, 0.0, 0.0), c(0.0, 0.0, 2.0), c(-0.5, 0.1j, 0.05)
+    rows = kernels.nq(model, 1).zeta_rows
+    with pytest.raises(domain.OutsideDomain):
+        rows(singular[None], outside)
+    with pytest.raises(domain.SingularFramePoint):
+        rows(np.array([c(0.5, 0.1, 0.1j), singular]), far)
+    with pytest.raises(domain.SingularFramePoint):
+        rows(far[None], singular)
+    point, pair = kernels.nq_stages(model, 1)
+    staged = point(np.array([c(0.5, 0.1, 0.1j), singular]))
+    assert np.isnan(staged.frame[1]).all() and not np.isnan(staged.frame[0]).any()
+    near = c(0.4, 0.05j, 0.1)
+    np.testing.assert_array_equal(pair(staged[:1], point(near)), rows(staged.zeta[:1], near))
 
 
 def test_nq_bidegree_and_gnq_value():
@@ -981,15 +1051,44 @@ def _covariance_error(k, U, zeta, z):
     return (got - want).norm() / want.norm()
 
 
-@pytest.mark.parametrize("name", ["ball", "pinched"])
-@pytest.mark.parametrize("build, bound", [
-    (kernels.nq, 1e-10), (kernels.lq, 1e-10), (kernels.tq, 1e-9), (kernels.gamma0q, 1e-10),
-], ids=["nq", "lq", "tq", "gamma0q"])
-def test_kernels_are_unitary_covariant(name, build, bound):
-    model = domain.make_domain(name, 3)
+def _seeded_pair(model):
+    """The pair at t = 2^-6 on the parabolic path from seed 0's base point."""
     path = verify.PathSpec(model, verify._base_point(model, 0), "parabolic", (2.0 ** -6,), 0)
     (_, zeta, z), = path.pairs()
-    assert _covariance_error(build(model, 1), _unitary(model), zeta, z) <= bound
+    return zeta, z
+
+
+@pytest.mark.parametrize("name", ["ball", "pinched"])
+@pytest.mark.parametrize("build, bound, qs", [
+    (kernels.nq, 1e-10, lambda n: range(1, n - 1)), (kernels.lq, 1e-10, lambda n: range(n - 1)),
+    (kernels.tq, 1e-9, lambda n: range(n - 1)), (kernels.gamma0q, 1e-10, lambda n: range(n + 1)),
+], ids=["nq", "lq", "tq", "gamma0q"])
+def test_kernels_are_unitary_covariant(name, build, bound, qs):
+    # every valid q at n = 3 and 4
+    for n in (3, 4):
+        model = domain.make_domain(name, n)
+        zeta, z = _seeded_pair(model)
+        for q in qs(n):
+            assert _covariance_error(build(model, q), _unitary(model), zeta, z) <= bound, (n, q)
+
+
+@pytest.mark.parametrize("name", ["ball", "pinched"])
+@pytest.mark.parametrize("n", [3, 4])
+def test_lq_main_at_q0_is_unitary_covariant(name, n):
+    model = domain.make_domain(name, n)
+    assert _covariance_error(kernels.lq_main(model, 0), _unitary(model),
+                             *_seeded_pair(model)) <= 1e-10
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 18: at q >= 1 lq_main pairs label L of the "
+                          "Gram-Schmidt frames at zeta and at z, which rotate apart")
+@pytest.mark.parametrize("name, n, q", [(name, n, q) for name in ("ball", "pinched")
+                                        for n in (3, 4) for q in range(1, n - 1)])
+def test_lq_main_at_q_from_1_is_unitary_covariant(name, n, q):
+    model = domain.make_domain(name, n)
+    assert _covariance_error(kernels.lq_main(model, q), _unitary(model),
+                             *_seeded_pair(model)) <= 1e-10
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,

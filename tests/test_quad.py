@@ -540,6 +540,38 @@ def _split_nodes_per_target(grid, z):
     return far, far_vols, sub_c, sub_vols, dropped
 
 
+def _split_and_kept_subcells(grid, z):
+    """One target's far-cell mask and kept subcells, as `apply_kernel` takes
+    them: `_split_nodes`, then the near cells' subcells in r < -eps less
+    those within h/2 of z."""
+    far, near = quad._split_nodes(grid, z)
+    counts, sub = quad._subcells(grid, near)
+    return far, sub[quad._outside_half_cell(grid, z, near, counts, sub)]
+
+
+def _apply_per_target(kernel_batch, f_func, grid, targets):
+    """apply_kernel as it was before the near cells were walked in blocks:
+    per target, the scanned split and one batch_eval call on the far cells
+    and the kept subcells together, the profile moments of the subcells in
+    BLOCK_NODES blocks.  (ntargets, ..., ncomp)."""
+    profiles = f_func.profiles if hasattr(f_func, "profiles") else f_func.batch
+    base = profiles(grid.centers)
+    coef = getattr(f_func, "coefficients", np.eye(base.shape[1]))
+    out = np.empty((len(targets),) + coef.shape[:-2] + coef.shape[-1:], dtype=complex)
+    sub_vol = grid.cell_volume / 4 ** grid.n
+    for ti, z in enumerate(np.asarray(targets, dtype=complex)):
+        far, _, sub, _, _ = _split_nodes_per_target(grid, z)
+        far_rows = base[far]
+        K = kernel_batch(np.concatenate([grid.centers[far], sub]), z)
+        k_far, k_sub = np.split(K.reshape(len(K), -1), [len(far_rows)])
+        moments = grid.cell_volume * (far_rows.conj().T @ k_far)
+        for lo in range(0, len(sub), quad.BLOCK_NODES):
+            rows = profiles(sub[lo:lo + quad.BLOCK_NODES])
+            moments += sub_vol * (rows.conj().T @ k_sub[lo:lo + quad.BLOCK_NODES])
+        out[ti] = np.tensordot(coef, moments.conj().reshape(-1, *K.shape[1:]), 2)
+    return out
+
+
 def _apply_by_einsum(sample, grid, targets, batch_eval):
     """apply_kernel as it was: the per-target split, the field's values
     sample(points) -> (points, ..., ncomp) and one einsum over all of a
@@ -565,7 +597,7 @@ def _near_the_edge(grid, count):
 @pytest.mark.parametrize("model, q", [(BALL2, 0), (BALL3, 1)], ids=["n2q0", "n3q1"])
 def test_field_stack_is_the_fields_one_by_one(model, q):
     g = make_grid(model, 0.3, eps=0.2)
-    sub = quad._split_nodes(g, _near_the_edge(g, 1)[0])[1]
+    sub = _split_and_kept_subcells(g, _near_the_edge(g, 1)[0])[1]
     pts = np.concatenate([g.centers, sub])
     fields = [quad.random_test_field(model, q, seed=s) for s in range(8)]
     want = _sampled_one_by_one(fields, pts)
@@ -577,19 +609,74 @@ def test_field_stack_is_the_fields_one_by_one(model, q):
     assert np.all(np.abs(fields[3].batch(pts) - want[:, 3]) <= 1e-13 * scale[3])
 
 
+def _lattice_targets(grid, seed):
+    """Targets for the near-cell lookup, by kind: seeded interior points,
+    points near the grid's edge, points whose 1.5h box runs past the
+    outermost lattice values (the last one beyond the lattice altogether),
+    and points with a coordinate exactly 1.5h from a cell's coordinate, the
+    inclusive tie of the near test."""
+    n, h = grid.n, grid.h
+    rng = np.random.default_rng(seed)
+    cand = rng.uniform(-0.8, 0.8, (400, 2 * n)).view(complex)
+    reals = grid.centers.view(float)
+    clipped = []
+    for k, side, past in ((0, 1, 0.2), (3, -1, 0.7), (2 * n - 1, -1, 0.4)):
+        z = reals[np.argmax(side * reals[:, k])] + 0.1 * h
+        z[k] += side * past * h
+        clipped.append(z.view(complex))
+    clipped.append(np.full(n, 2.0 * np.abs(reals).max() + 3 * h, dtype=complex))
+    ties = []
+    for i, c in enumerate(grid.centers[rng.choice(len(grid), 6, replace=False)]):
+        z = (c + rng.uniform(-0.3, 0.3, 2 * n).view(complex) * h).view(float)
+        z[i % (2 * n)] = c.view(float)[i % (2 * n)] + (1.5 if i % 2 else -1.5) * h
+        ties.append(z.view(complex))
+    return {"seeded": cand[grid.model.r(cand) < 0][:6], "edge": _near_the_edge(grid, 6),
+            "clipped": np.array(clipped), "ties": np.array(ties)}
+
+
 @pytest.mark.parametrize("model, h, eps", [
     (BALL2, 0.15, 0.3), (BALL3, 0.3, 0.2), (domain.pinched(3), 0.3, 0.2)],
     ids=["ball2", "ball3", "pinched3"])
 def test_split_nodes_is_the_per_target_split(model, h, eps):
+    # the near cells come from the lattice index, the oracle scans them
     g = make_grid(model, h, eps=eps)
+    reals = g.centers.view(float)
     dropped = 0
-    for z in _near_the_edge(g, 6):
-        far, sub = quad._split_nodes(g, z)
-        want_far, _, want_sub, _, out = _split_nodes_per_target(g, z)
-        assert np.array_equal(far, want_far) and np.array_equal(sub, want_sub)
-        dropped += out
+    for kind, targets in _lattice_targets(g, 3).items():
+        for i, z in enumerate(targets):
+            far, sub = _split_and_kept_subcells(g, z)
+            want_far, _, want_sub, _, out = _split_nodes_per_target(g, z)
+            assert np.array_equal(far, want_far) and np.array_equal(sub, want_sub), (kind, i)
+            dropped += out
+            if kind == "clipped":
+                assert far.all() == (i == 3)
+        if kind == "ties":
+            # the targets do sit exactly 1.5h from some cells
+            dist = np.abs(reals[:, None, :] - targets.view(float)[None, :, :]).max(axis=2)
+            assert np.any(dist == 1.5 * h)
     # the edge targets do meet subcells that r < -eps drops
     assert dropped > 0
+
+
+@pytest.mark.parametrize("model, q, h, eps", [
+    (BALL2, 0, 0.15, 0.3), (BALL3, 1, 0.3, 0.3), (BALL4, 2, 0.45, 0.5)],
+    ids=["E-ball2", "Nq-ball3-1", "Nq-ball4-2"])
+def test_blocked_walk_is_the_per_target_path(monkeypatch, model, q, h, eps):
+    # a small walk budget cuts the union of near cells inside the first
+    # complex coordinate too; the trial stack has complex noise beside the
+    # real profiles through its coefficients
+    batch = quad.batch_isotropic_model(model) if q == 0 else batch_nq(model, q)
+    g = make_grid(model, h, eps=eps)
+    cand = np.random.default_rng(5).uniform(-0.4, 0.4, (200, 2 * model.n)).view(complex)
+    targets = np.concatenate([cand[model.r(cand) < -eps][:2], _near_the_edge(g, 1)])
+    stack = quad._FieldStack([quad.random_test_field(model, q, seed=s) for s in range(3)])
+    want = _apply_per_target(batch, stack, g, targets)
+    for walk in (quad.WALK_NODES, 997):
+        monkeypatch.setattr(quad, "WALK_NODES", walk)
+        np.testing.assert_allclose(apply_kernel(None, stack, g, targets, q, batch_eval=batch),
+                                   want, rtol=1e-14, atol=0)
+    assert apply_kernel(None, stack, g, targets[:0], q, batch_eval=batch).shape == \
+        (0,) + want.shape[1:]
 
 
 @pytest.mark.parametrize("kernel_name", ["E", "Nq"])
@@ -605,15 +692,16 @@ def test_blocked_evaluation_matches_one_block(monkeypatch, kernel_name):
     z = np.array([[0.05, -0.1j] + [0.0] * (model.n - 2),
                   [0.2j, 0.1] + [0.0] * (model.n - 2)], dtype=complex)
     for zz in z:
-        far, sub = quad._split_nodes(g, zz)
+        far, sub = _split_and_kept_subcells(g, zz)
         nfar = int(np.count_nonzero(far))
         assert nfar % block != 0 and len(sub) > block
-    evaluated = {}
+    evaluated, calls = {}, []
 
     def once(nodes, zz):
-        # each target's kernel array is evaluated once and handed to every
-        # contraction below, which must only read it
+        # each (nodes, target) kernel array is evaluated once and handed to
+        # every contraction below, which must only read it
         key = (nodes.tobytes(), zz.tobytes())
+        calls.append(key)
         if key not in evaluated:
             K = batch(nodes, zz)
             evaluated[key] = (K, K.copy())
@@ -623,20 +711,29 @@ def test_blocked_evaluation_matches_one_block(monkeypatch, kernel_name):
     want = _apply_by_einsum(lambda pts: _sampled_one_by_one(fields, pts), g, z, once)
     noise = Noise(np.random.default_rng(2), len(anti_keys(model.n, q)))
     want_noise = _apply_by_einsum(noise.batch, g, z, once)
+    # the reference takes each target's nodes in one call
+    whole = calls[:len(z)]
+    assert len(evaluated) == len(z) and calls == whole + whole
     nodes = g.centers[::3]
     assert len(nodes) > block
     want_k = batch(nodes, z[0])
     for size in (quad.BLOCK_NODES, block):
         monkeypatch.setattr(quad, "BLOCK_NODES", size)
-        np.testing.assert_allclose(
-            apply_kernel(None, quad._FieldStack(fields), g, z, q, batch_eval=once),
-            want, rtol=1e-13, atol=0)
-        np.testing.assert_allclose(apply_kernel(None, fields[5], g, z, q, batch_eval=once),
-                                   want[:, 5], rtol=1e-13, atol=0)
-        np.testing.assert_allclose(apply_kernel(None, noise, g, z, q, batch_eval=once),
-                                   want_noise, rtol=1e-13, atol=0)
+        runs = []
+        for f_func, ref in ((quad._FieldStack(fields), want), (fields[5], want[:, 5]),
+                            (noise, want_noise)):
+            calls.clear()
+            np.testing.assert_allclose(apply_kernel(None, f_func, g, z, q, batch_eval=once),
+                                       ref, rtol=1e-13, atol=0)
+            runs.append(list(calls))
+        # every apply makes the same calls, and a target's calls, in order,
+        # hold the reference's nodes for it, each node once
+        assert runs[0] == runs[1] == runs[2]
+        for zz, (all_nodes, target) in zip(z, whole):
+            assert target == zz.tobytes()
+            assert b"".join(k for k, t in runs[0] if t == target) == all_nodes
+        assert len(runs[0]) > len(z)
         np.testing.assert_array_equal(batch(nodes, z[0]), want_k)
-    assert len(evaluated) == len(z)
     assert all(np.array_equal(k, k0) for k, k0 in evaluated.values())
 
 
