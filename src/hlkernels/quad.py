@@ -457,7 +457,7 @@ class _FieldStack:
 
 
 # name -> (batch evaluator of (model, q), degree of its field, descriptors of
-# (typecalc, n, q)).  Builders are looked up at each call, so a wrapper bound to
+# (typecalc, n, degree)).  Builders are looked up at each call, so a wrapper bound to
 # them runs; typecalc is passed in, so importing quad does not import it.
 RATIO_KERNELS = {
     "E": (lambda model, q: batch_isotropic_model(model), lambda q: 0,
@@ -489,7 +489,8 @@ def ratio_table(model: DomainModel, kernel_name: str, q: int,
     Targets are drawn once and the exhaustion parameter is pinned to the
     coarsest grid, so the ratios compare like for like across refinements.
     s is admissible when 1/s (s as a fraction with denominator at most 1000)
-    exceeds the kernel's threshold.
+    exceeds the kernel's threshold.  The metadata's q is the form degree the
+    table used, which is 0 for `E` whatever q is given.
     """
     if kernel_name not in RATIO_KERNELS:
         raise QuadError(f"no vectorized kernel {kernel_name!r}")
@@ -535,9 +536,9 @@ def ratio_table(model: DomainModel, kernel_name: str, q: int,
         summary[res] = max(ratios)
     from . import typecalc, zalg     # only the threshold needs them
     inv_s = 0 if s == np.inf else 1 / Fraction(s).limit_denominator(1000)
-    meta = {"kernel": kernel_name, "domain": model.name, "n": n, "q": q,
+    meta = {"kernel": kernel_name, "domain": model.name, "n": n, "q": kq,
             "p": p, "s": s, "a": a, "b": b, "seed": seed, "eps": eps,
-            "admissible": inv_s > zalg.type_threshold(descriptors(typecalc, n, q), p, n),
+            "admissible": inv_s > zalg.type_threshold(descriptors(typecalc, n, kq), p, n),
             "max_ratio_by_resolution": dict(sorted(summary.items()))}
     return {"rows": rows, "meta": meta}
 

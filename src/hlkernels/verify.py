@@ -8,7 +8,9 @@ for finite-difference kernel claims.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -140,17 +142,51 @@ def _rate_check(suite: str, check: str, ts, mains, diffs,
     return CheckResult(suite, check, exact or sd >= need, sd, need, details)
 
 
-def _rate_series(rows, weights=None):
-    """The series (ts, |target|, |definition - target|) of a rate check from
-    (t, definition, target) rows of kernel values; weights, one per row,
-    scale both norms."""
-    ts, mains, diffs = [], [], []
-    for i, (t, a, b) in enumerate(rows):
-        w = 1.0 if weights is None else weights[i]
-        ts.append(t)
-        mains.append(w * b.norm())
-        diffs.append(w * (a - b).norm())
-    return ts, mains, diffs
+@dataclass(frozen=True)
+class RateLine:
+    """One line of a kernel suite's table, naming kernels by their keys in
+    the table.  Its series are norms of `project`ed values, times
+    gamma(zeta) gamma(z) where `weighted`.  With a target, `_rate_check`
+    judges |definition - target| against |target| (|definition| where
+    `definition_is_main`); with none, the slope of |definition| must lie
+    within `type_window` of `predicted`."""
+
+    check: str
+    definition: str
+    target: str | None = None
+    project: Callable = lambda v: v
+    weighted: bool = False
+    exact_tol: float | None = None
+    definition_is_main: bool = False
+    predicted: float | None = None
+
+
+def _run_lines(suite: str, model: DomainModel, pairs, kerns: dict,
+               lines: list[RateLine]) -> list[CheckResult]:
+    """Evaluate each kernel of `kerns` once per path pair, in table order,
+    then judge every line on those values."""
+    values = {name: [] for name in kerns}
+    for _, zeta, z in pairs:
+        for name, k in kerns.items():
+            values[name].append(k.eval(zeta, z))
+    ts = [t for t, _, _ in pairs]
+    if any(line.weighted for line in lines):
+        gg = [model.gamma(zeta) * model.gamma(z) for _, zeta, z in pairs]
+    out = []
+    for line in lines:
+        a = list(map(line.project, values[line.definition]))
+        if line.target is None:
+            s, _ = slope_fit(ts, [v.norm() for v in a])
+            ok = abs(s - line.predicted) <= THRESHOLDS["type_window"]
+            out.append(CheckResult(suite, line.check, ok, s, line.predicted,
+                                   {"comparison": "|measured-predicted|<=0.2"}))
+            continue
+        b = list(map(line.project, values[line.target]))
+        ws = gg if line.weighted else [1.0] * len(ts)
+        mains = [w * v.norm() for w, v in zip(ws, a if line.definition_is_main else b)]
+        diffs = [w * (x - y).norm() for w, x, y in zip(ws, a, b)]
+        out.append(_rate_check(suite, line.check, ts, mains, diffs, line.exact_tol))
+    return out
 
 
 BASE_POINT_TRIES = 1000
@@ -316,12 +352,10 @@ def suite_gamma_harmonic(model: DomainModel, n: int, q: int, seed: int,
 
 def suite_lemmalq(model: DomainModel, n: int, q: int, seed: int,
                   t_grid) -> list[CheckResult]:
-    path = PathSpec(model, _base_point(model, seed), "parabolic", tuple(t_grid), seed)
-    kdef = kernels.lq(model, q)
-    kmain = kernels.lq_main(model, q)
-    series = _rate_series((t, kdef.eval(zeta, z), kmain.eval(zeta, z))
-                          for t, zeta, z in path.pairs())
-    return [_rate_check("lemmalq", "definition-vs-main-rate", *series)]
+    pairs = PathSpec(model, _base_point(model, seed), "parabolic", tuple(t_grid), seed).pairs()
+    kerns = {"L": kernels.lq(model, q), "L main": kernels.lq_main(model, q)}
+    return _run_lines("lemmalq", model, pairs, kerns,
+                      [RateLine("definition-vs-main-rate", "L", "L main")])
 
 
 def suite_dgh(model: DomainModel, n: int, q: int, seed: int,
@@ -329,38 +363,27 @@ def suite_dgh(model: DomainModel, n: int, q: int, seed: int,
     """First-order system: dbar of the printed potentials against the printed
     main terms, per index case, plus the case-c smallness of the numeric
     homotopy difference."""
-    base = _base_point(model, seed)
-    path = PathSpec(model, base, "parabolic", tuple(t_grid), seed)
-    pairs = path.pairs()
-    out = []
+    pairs = PathSpec(model, _base_point(model, seed), "parabolic", tuple(t_grid), seed).pairs()
     # one dbar G and one H per pair; each L line reads its Theta^L coefficient
-    dg = kernels.kernel_derivative(kernels.gq(model, q), "dbar", "zeta")
-    hk = kernels.hq_main(model, q)
-    values = [(t, dg.eval(zeta, z), hk.eval(zeta, z)) for t, zeta, z in pairs]
-    for L in forms.anti_keys(n, q):
-        series = _rate_series((t, kernels.theta_coefficient(dgv, L),
-                               kernels.theta_coefficient(hv, L)) for t, dgv, hv in values)
-        case = "nQ" if n in L else "ab"
-        out.append(_rate_check("dgh", f"dbar-G-vs-H-{case}-L={''.join(map(str, L))}",
-                               *series, exact_tol=1e-9))
+    kerns = {"dbar G": kernels.kernel_derivative(kernels.gq(model, q), "dbar", "zeta"),
+             "H": kernels.hq_main(model, q)}
+    out = _run_lines("dgh", model, pairs, kerns, [
+        RateLine(f"dbar-G-vs-H-{'nQ' if n in L else 'ab'}-L={''.join(map(str, L))}",
+                 "dbar G", "H", partial(kernels.theta_coefficient, L=L), exact_tol=1e-9)
+        for L in forms.anti_keys(n, q)])
     # case c: numeric homotopy components on omega-bar^{nJ}, J != L, from
     # the Theta^L coefficient of vartheta L_q - del_z L_{q-1}
-    L = tuple(j for j in range(1, q + 1))     # n not in L
+    L = tuple(range(1, q + 1))     # n not in L
     hn = kernels.h_numeric(model, q)
-    ts, mains, offs = [], [], []
-    for t, zeta, z in pairs:
+    mains, offs = [], []
+    for _, zeta, z in pairs:
         v = forms.change_frame_z(hn.eval(zeta, z), model.frame(z), forms.ADAPTED)
-        hv = kernels.theta_coefficient(v, L)
-        Uz = model.frame(zeta)
-        had = forms.change_frame_zeta(hv, Uz, forms.ADAPTED)
-        full = had.norm()
-        case_c = had.filter_keys(
-            lambda k: n in k[1] and not set(L) <= set(k[1]))
-        ts.append(t)
-        mains.append(full)
-        offs.append(case_c.norm())
-    out.append(_rate_check("dgh", "case-c-components-small", ts, mains, offs,
-                           exact_tol=1e-12))
+        had = forms.change_frame_zeta(kernels.theta_coefficient(v, L), model.frame(zeta),
+                                      forms.ADAPTED)
+        mains.append(had.norm())
+        offs.append(had.filter_keys(lambda k: n in k[1] and not set(L) <= set(k[1])).norm())
+    out.append(_rate_check("dgh", "case-c-components-small", [t for t, _, _ in pairs], mains,
+                           offs, exact_tol=1e-12))
     return out
 
 
@@ -370,42 +393,27 @@ def suite_nkern(model: DomainModel, n: int, q: int, seed: int,
     vartheta N = T*_(q-1) (both up to lower order), symmetry of N, and decay
     of the normal components at the boundary."""
     base = _base_point(model, seed)
-    path = PathSpec(model, base, "parabolic", tuple(t_grid), seed)
-    pairs = path.pairs()
+    pairs = PathSpec(model, base, "parabolic", tuple(t_grid), seed).pairs()
     nk = kernels.nq(model, q)
-    tk = kernels.tq(model, q)
-    dn = kernels.kernel_derivative(nk, "dbar", "zeta")
-    vt = kernels.kernel_vartheta_zeta(nk)
-    tprev = kernels.adjoint_kernel(kernels.tq(model, q - 1))
-    nadj = kernels.adjoint_kernel(nk)
-    gg = [model.gamma(zeta) * model.gamma(z) for _, zeta, z in pairs]
-    dbar_n = _rate_series(((t, dn.eval(zeta, z), tk.eval(zeta, z)) for t, zeta, z in pairs), gg)
-    vartheta_n = _rate_series(((t, vt.eval(zeta, z), tprev.eval(zeta, z))
-                               for t, zeta, z in pairs), gg)
-    # the symmetry line's main series is N itself, the first operand
-    ts, main3, diff3 = [], [], []
-    for t, zeta, z in pairs:
-        nv = nk.eval(zeta, z)
-        ts.append(t)
-        main3.append(nv.norm())
-        diff3.append((nv - nadj.eval(zeta, z)).norm())
-    out = [_rate_check("nkern", "dbar-N-vs-T-rate", *dbar_n),
-           _rate_check("nkern", "vartheta-N-vs-Tprev-adj-rate", *vartheta_n),
-           _rate_check("nkern", "N-symmetry-rate", ts, main3, diff3, exact_tol=1e-9)]
+    kerns = {"dbar N": kernels.kernel_derivative(nk, "dbar", "zeta"), "T": kernels.tq(model, q),
+             "vartheta N": kernels.kernel_vartheta_zeta(nk),
+             "T*_(q-1)": kernels.adjoint_kernel(kernels.tq(model, q - 1)),
+             "N": nk, "N*": kernels.adjoint_kernel(nk)}
+    out = _run_lines("nkern", model, pairs, kerns, [
+        RateLine("dbar-N-vs-T-rate", "dbar N", "T", weighted=True),
+        RateLine("vartheta-N-vs-Tprev-adj-rate", "vartheta N", "T*_(q-1)", weighted=True),
+        RateLine("N-symmetry-rate", "N", "N*", exact_tol=1e-9, definition_is_main=True)])
     # boundary condition: normal components decay along the inward normal
     zeta0 = model.project_boundary(base)
     nu_in = model.inward_normal(zeta0)
     zfix = model.project_boundary(base + 0.3 * model.tangent_direction(zeta0, seed))
     zfix = zfix + 0.35 * model.inward_normal(zfix)
-    tsb, fracs = [], []
-    for t in np.geomspace(0.3, 0.004, 8):
+    tsb, fracs = np.geomspace(0.3, 0.004, 8), []
+    for t in tsb:
         zz = zeta0 + t * nu_in
-        v = nk.eval(zz, zfix)
         U = model.frame(zz)
-        vad = forms.change_frame_zeta(v, U, forms.ADAPTED)
-        normal = vad - forms.restrict_boundary(vad, U)
-        tsb.append(t)
-        fracs.append(normal.norm())
+        vad = forms.change_frame_zeta(nk.eval(zz, zfix), U, forms.ADAPTED)
+        fracs.append((vad - forms.restrict_boundary(vad, U)).norm())
     sb, _ = slope_fit(tsb, fracs)
     out.append(CheckResult("nkern", "boundary-normal-decay", sb > 0.0, sb, 0.0))
     return out
@@ -416,18 +424,10 @@ def suite_tq_type(model: DomainModel, n: int, q: int, seed: int,
     """Measured homotopy-kernel decay against the type-calculus prediction."""
     from . import typecalc as tc
 
-    base = _base_point(model, seed)
-    path = PathSpec(model, base, "parabolic", tuple(t_grid), seed)
-    tk = kernels.tq(model, q)
-    ts, vals = [], []
-    for t, zeta, z in path.pairs():
-        ts.append(t)
-        vals.append(tk.eval(zeta, z).norm())
-    s, _ = slope_fit(ts, vals)
-    preds = [tc.exponent_along_path(d, n) for d in tc.h_main_terms(n, q)]
-    pred = float(min(preds))
-    return [CheckResult("tq-type", "leading-slope-matches-type", abs(s - pred) <= THRESHOLDS["type_window"],
-                        s, pred, {"comparison": "|measured-predicted|<=0.2"})]
+    pairs = PathSpec(model, _base_point(model, seed), "parabolic", tuple(t_grid), seed).pairs()
+    pred = float(min(tc.exponent_along_path(d, n) for d in tc.h_main_terms(n, q)))
+    return _run_lines("tq-type", model, pairs, {"T": kernels.tq(model, q)},
+                      [RateLine("leading-slope-matches-type", "T", predicted=pred)])
 
 
 def suite_lp_morse(model: DomainModel, n: int, q: int, seed: int,

@@ -360,6 +360,18 @@ def test_ratio_meta_records_eps(tmp_path):
     assert json.loads((tmp_path / "ratio_E_meta.json").read_text())["eps"] == 0.3
 
 
+def test_an_e_table_records_degree_0_whatever_q_is_given(tmp_path):
+    # E integrates functions, so no number of its table depends on q
+    metas = []
+    for q in ("0", "5"):
+        out = tmp_path / q
+        assert run(["ratio", "--kernel", "E", "--n", "2", "--q", q, "--resolutions", "6",
+                    "--trials", "1", "--out", str(out)]) == 0
+        metas.append((out / "ratio_E_meta.json").read_text())
+    assert metas[1] == metas[0]
+    assert json.loads(metas[1])["q"] == 0
+
+
 @pytest.mark.parametrize("config", [None, {"n": 3}, []], ids=["missing", "key", "not-object"])
 def test_list_suites_reads_its_config_file(tmp_path, capsys, config):
     # list-suites takes no setting, so any key is a usage error, as is a file

@@ -477,14 +477,14 @@ def test_kernel_derivative_rejects_unknown_operator():
         kernels.kernel_derivative(k, "dbar", "w")
 
 
-def _gq_in_coordinates(model, q):
-    """gq with its adapted z slots changed to coordinates."""
-    g = kernels.gq(model, q)
+def _z_in_coordinates(model, k):
+    """k, whose z slots carry adapted labels as those of `gq` and `hq_main`
+    do, with the z slots read through `model.frame(z)` into coordinates."""
 
     def ev(zeta, z):
-        return forms.change_frame_z(g.eval(zeta, z), model.frame(z), forms.COORD)
+        return forms.change_frame_z(k.eval(zeta, z), model.frame(z), forms.COORD)
 
-    return kernels.KernelEvaluator("Gq_coord", model.n, ev)
+    return kernels.KernelEvaluator(f"{k.id}_coord", model.n, ev)
 
 
 @pytest.mark.parametrize("name,n,q", [("ball", 3, 1), ("pinched", 4, 2)])
@@ -494,7 +494,8 @@ def test_dbar_zeta_commutes_with_the_adapted_z_frame(name, n, q):
     zeta, z = _frozen_pair(model)
     adapted = kernels.kernel_derivative(kernels.gq(model, q), "dbar", "zeta").eval(zeta, z)
     assert adapted.frame == (forms.COORD, forms.ADAPTED)
-    coord = kernels.kernel_derivative(_gq_in_coordinates(model, q), "dbar", "zeta").eval(zeta, z)
+    coord = kernels.kernel_derivative(_z_in_coordinates(model, kernels.gq(model, q)), "dbar",
+                                      "zeta").eval(zeta, z)
     want = forms.change_frame_z(adapted, model.frame(z), forms.COORD)
     # equal up to the roundoff of the frame change, which the difference
     # quotient amplifies by 1 / FD_REL_STEP: about 2e-12 relative
@@ -810,6 +811,38 @@ def test_packed_nq_and_gamma0q_match_the_assembly(name, n):
         assert _max_diff(g.eval(pts[1], z), want) <= 1e-13 * scale
 
 
+def _rotate_tangential_coframe(monkeypatch, model, unitary_at, pts):
+    """Make `DomainModel.frame` return omega^1 .. omega^(n-1) rotated by
+    unitary_at(zeta), a unitary (n-1, n-1) at one point or per row, and
+    omega^n as it is; check that the frame at pts has moved."""
+    frame = domain.DomainModel.frame
+
+    def rotated(self, zeta):
+        rows = frame(self, zeta)
+        return np.concatenate([unitary_at(np.asarray(zeta)) @ rows[..., :-1, :],
+                               rows[..., -1:, :]], axis=-2)
+
+    monkeypatch.setattr(domain.DomainModel, "frame", rotated)
+    assert not np.allclose(model.frame(pts), frame(model, pts))
+
+
+def _pointwise_unitary(n, seed=11):
+    """zeta -> exp(i A(zeta)) in U(n-1), at one point or per row, with A
+    Hermitian and linear in Re zeta and Im zeta: a smooth unitary field
+    that turns the coframe by O(1) angles across the oracle points."""
+    g = np.random.default_rng(seed).standard_normal((2, n, n - 1, n - 1, 2))
+    b = g[..., 0] + 1j * g[..., 1]
+    b = b + np.conj(np.swapaxes(b, -1, -2))
+
+    def unitary_at(zeta):
+        a = np.einsum("...k,kij->...ij", zeta.real, b[0]) + np.einsum(
+            "...k,kij->...ij", zeta.imag, b[1])
+        w, v = np.linalg.eigh(a)
+        return (v * np.exp(1j * w)[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
+
+    return unitary_at
+
+
 @pytest.mark.parametrize("name", ["ball", "pinched"])
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_nq_does_not_depend_on_the_tangential_coframe(monkeypatch, name, n):
@@ -821,17 +854,64 @@ def test_nq_does_not_depend_on_the_tangential_coframe(monkeypatch, name, n):
     want = {q: kernels.nq(model, q).zeta_rows(pts, z) for q in range(1, n - 1)}
     g = np.random.default_rng(7).standard_normal((n - 1, n - 1, 2))
     unitary = np.linalg.qr(g[..., 0] + 1j * g[..., 1])[0]
-    frame = domain.DomainModel.frame
-
-    def rotated(self, zeta):
-        rows = frame(self, zeta)
-        return np.concatenate([unitary @ rows[..., :-1, :], rows[..., -1:, :]], axis=-2)
-
-    monkeypatch.setattr(domain.DomainModel, "frame", rotated)
-    assert not np.allclose(model.frame(pts), frame(model, pts))
+    _rotate_tangential_coframe(monkeypatch, model, lambda zeta: unitary, pts)
     for q, w in want.items():
         got = kernels.nq(model, q).zeta_rows(pts, z)
         np.testing.assert_allclose(got, w, rtol=1e-13, atol=1e-13 * np.max(np.abs(w)))
+
+
+@pytest.mark.parametrize("name", ["ball", "pinched"])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_nq_does_not_depend_on_a_pointwise_rotation_of_the_coframe(monkeypatch, name, n):
+    # the same with a unitary that varies smoothly from point to point:
+    # N_q pairs the coframes at zeta and at z only through forms
+    model = domain.make_domain(name, n)
+    pts, z = _oracle_points(model)
+    pts = np.asarray(pts)
+    want = {q: kernels.nq(model, q).zeta_rows(pts, z) for q in range(1, n - 1)}
+    _rotate_tangential_coframe(monkeypatch, model, _pointwise_unitary(n), pts)
+    for q, w in want.items():
+        got = kernels.nq(model, q).zeta_rows(pts, z)
+        np.testing.assert_allclose(got, w, rtol=1e-13, atol=1e-13 * np.max(np.abs(w)))
+
+
+# the printed kernels in coordinates; gq and hq_main through their z frames
+PRINTED_IN_COORDINATES = {
+    "lq_main": kernels.lq_main,
+    "gq": lambda model, q: _z_in_coordinates(model, kernels.gq(model, q)),
+    "hq_main": lambda model, q: _z_in_coordinates(model, kernels.hq_main(model, q)),
+}
+
+
+def _pointwise_rotation_error(monkeypatch, kernel, name, n, q):
+    """max over the oracle points of |K' - K| / |K|, with K' the printed
+    kernel once the coframe turns by `_pointwise_unitary`."""
+    model = domain.make_domain(name, n)
+    pts, z = _oracle_points(model)
+    k = PRINTED_IN_COORDINATES[kernel](model, q)
+    want = [k.eval(zeta, z) for zeta in pts]
+    _rotate_tangential_coframe(monkeypatch, model, _pointwise_unitary(n), np.asarray(pts))
+    got = [k.eval(zeta, z) for zeta in pts]
+    return max((a - b).norm() / b.norm() for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("kernel", ["lq_main", "hq_main"])
+@pytest.mark.parametrize("name", ["ball", "pinched"])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_printed_kernels_at_q0_do_not_depend_on_a_pointwise_coframe(monkeypatch, kernel,
+                                                                    name, n):
+    assert _pointwise_rotation_error(monkeypatch, kernel, name, n, 0) <= 1e-13
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 18: at q >= 1 the printed kernels pair label L "
+                          "of the coframe at zeta with label L of the coframe at z")
+@pytest.mark.parametrize("kernel, name, n, q", [
+    (kernel, name, n, q) for kernel in PRINTED_IN_COORDINATES for name in ("ball", "pinched")
+    for n in (3, 4) for q in range(1, n - 1)])
+def test_printed_kernels_at_q_from_1_do_not_depend_on_a_pointwise_coframe(monkeypatch, kernel,
+                                                                          name, n, q):
+    assert _pointwise_rotation_error(monkeypatch, kernel, name, n, q) <= 1e-13
 
 
 def _nq_rows_in_one_stage(model, q):
@@ -869,20 +949,84 @@ def _nq_rows_in_one_stage(model, q):
     return rows
 
 
-@pytest.mark.parametrize("name", ["ball", "pinched"])
-@pytest.mark.parametrize("n", [3, 4, 5])
-def test_staged_nq_rows_are_the_one_stage_rows(name, n):
-    # stencil-sized blocks (8n rows) and BLOCK_NODES-sized ones, every q;
-    # the node (0.5, 0, ...) makes the frame skip a coordinate candidate
-    model = domain.make_domain(name, n)
+def _nq_row_blocks(model):
+    """A stencil-sized block of zeta rows (8n rows) and a BLOCK_NODES-sized
+    one near the oracle target z, and z.  The node (0.5, 0, ...) leads both:
+    there the frame skips a coordinate candidate."""
+    n = model.n
     _, z = _oracle_points(model)
     cand = z + np.random.default_rng(n).uniform(-0.2, 0.2, (8 * 4096, 2 * n)).view(complex)
     pts = np.concatenate([[[0.5] + [0.0] * (n - 1)], cand[model.r(cand) < -0.02][:4095]])
     assert len(pts) == 4096
+    return (pts[:8 * n], pts), z
+
+
+@pytest.mark.parametrize("name", ["ball", "pinched"])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_staged_nq_rows_are_the_one_stage_rows(name, n):
+    model = domain.make_domain(name, n)
+    blocks, z = _nq_row_blocks(model)
     for q in range(1, n - 1):
         staged, want = kernels.nq(model, q).zeta_rows, _nq_rows_in_one_stage(model, q)
-        for block in (pts[:8 * n], pts):
+        for block in blocks:
             assert staged(block, z).tobytes() == want(block, z).tobytes(), (q, len(block))
+
+
+def _wedge_matrix(l, q):
+    """E(l), (..., C(n,q-1), C(n,q)): e_I ^ sum_k l_k e_k = sum_J E[I, J] e_J
+    for the (q-1)-subsets I and q-subsets J in `anti_keys` order."""
+    n = l.shape[-1]
+    upper = {key: j for j, key in enumerate(forms.anti_keys(n, q))}
+    lower = forms.anti_keys(n, q - 1)
+    E = np.zeros(l.shape[:-1] + (len(lower), len(upper)), dtype=complex)
+    for i, key in enumerate(lower):
+        for k in set(range(1, n + 1)) - set(key):
+            sign = (-1) ** sum(1 for a in key if a > k)
+            E[..., i, upper[tuple(sorted(key + (k,)))]] = sign * l[..., k - 1]
+    return E
+
+
+def _nq_frame_free(model, q, zeta_rows, z):
+    """N_q's rows of zeta with no frame (ROADMAP item 14).  With l = dr/gamma
+    a row per point, T = H - l^H l, M = T_zeta H^-1 T_z and
+    A_nn = l_zeta H^-1 l_z^H, they are
+    nu (C_q(T_zeta) + C_q(T_z)) + (c s - 2 nu) C_q(M)
+      + nu A_nn E(l_zeta)^H C_(q-1)(M) E(l_z) + Gamma_0q,
+    with nu = conormal_weight(n, P), c = coefficient_c(n, q) and
+    s = neumann_tangential_scalar(...), nu and c s signed by `N_q`'s
+    (-1)^(q(q-1)/2).  At q = 1 that is nu H + (c s - nu) M + Gamma_01."""
+    n, H, Hinv = model.n, model.levi_const, model.levi_inv
+    zp, wp = model.geo_point(zeta_rows), model.geo_point(z)
+    pair = model.geo_pair_of(zp, wp)
+    P = pair.big_p
+    sign = (-1.0) ** (q * (q - 1) // 2)
+    nu = (sign * kernels.conormal_weight(n, P))[:, None, None]
+    cs = (sign * coefficient_c(n, q) * kernels.neumann_tangential_scalar(
+        n, q, pair.gamma, pair.gamma_star, pair.phi, P))[:, None, None]
+    l_zeta, l_z = zp.grad / zp.gamma[:, None], wp.grad / wp.gamma
+    T_zeta = H - l_zeta.conj()[:, :, None] * l_zeta[:, None, :]
+    T_z = H - np.outer(l_z.conj(), l_z)
+    M = T_zeta @ Hinv @ T_z
+    A_nn = (l_zeta @ Hinv @ l_z.conj())[:, None, None]
+    compound = forms.compound
+    E_zeta = np.conj(np.swapaxes(_wedge_matrix(l_zeta, q), -1, -2))
+    body = (nu * (compound(T_zeta, q) + compound(T_z, q)) + (cs - 2 * nu) * compound(M, q)
+            + nu * A_nn * (E_zeta @ compound(M, q - 1) @ _wedge_matrix(l_z, q)))
+    return body + kernels.gamma0q_packed(model, q, pair.rho2)
+
+
+@pytest.mark.parametrize("name", ["ball", "pinched"])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_nq_rows_are_the_frame_free_closed_form(name, n):
+    # to 1e-13 of each row's largest entry, at every q
+    model = domain.make_domain(name, n)
+    blocks, z = _nq_row_blocks(model)
+    for q in range(1, n - 1):
+        for block in blocks:
+            got = kernels.nq(model, q).zeta_rows(block, z)
+            want = _nq_frame_free(model, q, block, z)
+            err = np.max(np.abs(got - want), axis=(1, 2)) / np.max(np.abs(want), axis=(1, 2))
+            assert np.max(err) <= 1e-13, (q, len(block), np.max(err))
 
 
 def test_staged_nq_rows_raise_in_the_one_stage_order():
@@ -1100,3 +1244,23 @@ def test_lq_main_is_unitary_covariant_from_a_zero_coordinate_base_point():
                            (2.0 ** -4, 2.0 ** -7), 0)
     k, U = kernels.lq_main(BALL3, 1), _unitary(BALL3)
     assert max(_covariance_error(k, U, zeta, z) for _, zeta, z in path.pairs()) <= 1e-10
+
+
+@pytest.mark.parametrize("name", ["ball", "pinched"])
+@pytest.mark.parametrize("n", [3, 4])
+def test_hq_main_at_q0_is_unitary_covariant(name, n):
+    model = domain.make_domain(name, n)
+    assert _covariance_error(PRINTED_IN_COORDINATES["hq_main"](model, 0), _unitary(model),
+                             *_seeded_pair(model)) <= 1e-10
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 18: at q >= 1 gq and hq_main pair label L of the "
+                          "Gram-Schmidt frames at zeta and at z, which rotate apart")
+@pytest.mark.parametrize("kernel, name, n, q", [
+    (kernel, name, n, q) for kernel in ("gq", "hq_main") for name in ("ball", "pinched")
+    for n in (3, 4) for q in range(1, n - 1)])
+def test_gq_and_hq_main_at_q_from_1_are_unitary_covariant(kernel, name, n, q):
+    model = domain.make_domain(name, n)
+    assert _covariance_error(PRINTED_IN_COORDINATES[kernel](model, q), _unitary(model),
+                             *_seeded_pair(model)) <= 1e-10

@@ -1,6 +1,7 @@
 """Slope fitting and the suite runner."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -167,3 +168,19 @@ def test_verdicts_are_python_bools(domain_name, n, q):
         for c in rep["checks"]:
             assert type(c["passed"]) is bool, (name, c["check"])
         json.dumps(rep)
+
+
+# json.dumps(run_suite(suite, domain, n, q, seed=0)) for the four kernel
+# suites on both domains at (3,1) and (4,2), one report a line, recorded when
+# each suite still walked its path pairs itself: the rate-line runner must
+# give the same bytes, failing verdicts included
+KERNEL_SUITE_REPORTS = (Path(__file__).resolve().parent / "data"
+                        / "kernel_suite_reports.jsonl").read_text().splitlines()
+
+
+@pytest.mark.parametrize("line", KERNEL_SUITE_REPORTS, ids=[
+    "{suite}-{domain}-{n}{q}".format(**json.loads(line)) for line in KERNEL_SUITE_REPORTS])
+def test_kernel_suite_reports_are_the_recorded_bytes(line):
+    rep = json.loads(line)
+    assert json.dumps(run_suite(rep["suite"], rep["domain"], rep["n"], rep["q"],
+                                seed=rep["seed"])) == line
